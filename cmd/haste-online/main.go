@@ -7,10 +7,11 @@
 //
 //	haste-online [--chargers N] [--tasks M] [--seed S] [--colors C] [--field F]
 //	             [--transport mem|tcp] [--drop P] [--dup P] [--delay P] [--crash P]
-//	             [--reliable] [--parallel]
+//	             [--reliable] [--map]
 //
 // The --drop/--dup/--delay/--crash flags inject seeded network failures
-// into the negotiation (see package netsim for the failure model);
+// into the negotiation (see package netsim for the failure model); each
+// is a probability in [0, 1], and any other value exits non-zero.
 // --reliable turns on the commit-reliability layer. When any failure
 // mode is active the demo also prints the degradation accounting.
 // --transport tcp carries every negotiation over loopback TCP sockets
@@ -48,7 +49,6 @@ func main() {
 	delay := flag.Float64("delay", 0, "per-delivery bounded-delay probability")
 	crash := flag.Float64("crash", 0, "per-node per-round crash probability")
 	reliable := flag.Bool("reliable", false, "enable the commit-reliability layer (acked, retransmitted UPDs)")
-	parallel := flag.Bool("parallel", false, "run negotiation rounds with one goroutine per charger")
 	transportName := flag.String("transport", "mem",
 		"negotiation substrate: mem (in-memory netsim) or tcp (loopback sockets, one TCP connection per charger)")
 	flag.Parse()
@@ -84,7 +84,6 @@ func main() {
 	opt := online.Options{
 		Colors:    *colors,
 		Seed:      *seed,
-		Parallel:  *parallel,
 		DropRate:  *drop,
 		DupRate:   *dup,
 		DelayRate: *delay,

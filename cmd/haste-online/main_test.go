@@ -68,7 +68,7 @@ func TestDemoChaosFlags(t *testing.T) {
 	cmd := exec.Command("go", "run", ".",
 		"--chargers", "6", "--tasks", "15", "--seed", "2",
 		"--drop", "0.1", "--dup", "0.05", "--delay", "0.1", "--crash", "0.01",
-		"--reliable", "--parallel")
+		"--reliable")
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("chaos demo failed: %v\n%s", err, out)
@@ -81,6 +81,23 @@ func TestDemoChaosFlags(t *testing.T) {
 	} {
 		if !strings.Contains(s, want) {
 			t.Errorf("output missing %q:\n%s", want, s)
+		}
+	}
+}
+
+// A failure rate that is not a probability must fail the demo with a
+// diagnostic instead of running a silently clean (negative, NaN) or
+// all-dropping (above 1) network.
+func TestDemoRejectsBadRate(t *testing.T) {
+	for _, bad := range [][]string{{"--drop", "-1"}, {"--drop", "NaN"}, {"--drop", "1.5"}, {"--crash", "+Inf"}} {
+		args := append([]string{"run", ".", "--chargers", "6", "--tasks", "15", "--seed", "2"}, bad...)
+		out, err := exec.Command("go", args...).CombinedOutput()
+		if err == nil {
+			t.Errorf("%v accepted:\n%s", bad, out)
+			continue
+		}
+		if !strings.Contains(string(out), "failure rate must be a probability") {
+			t.Errorf("%v: missing diagnostic:\n%s", bad, out)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Differential tests: every execution strategy of TabularGreedy — the
-// pooled parallel fan at any worker count and the lazy stale-bound
-// selector — must reproduce the sequential reference byte-for-byte on the
-// seeded workload sweep. This file (with the internal/difftest harness) is
+// instrumented scan, the generic kernel and sharded runs at any component
+// worker count — must reproduce the reference byte-for-byte on the seeded
+// workload sweep. This file (with the internal/difftest harness) is
 // the determinism contract of DESIGN.md §3 "Parallel execution &
 // determinism"; CI additionally runs it under the race detector.
 package core_test
@@ -16,8 +16,9 @@ import (
 )
 
 // TestTabularGreedyDifferentialSweep is the acceptance-criteria suite: for
-// every seeded case, Workers ∈ {1, 2, 8, GOMAXPROCS} and the lazy variant
-// produce identical Schedule.Policy tables and equal RUtility.
+// every seeded case, the instrumented per-state scan and the generic
+// kernel produce Schedule.Policy tables and RUtility identical to the
+// batched flat-kernel reference.
 func TestTabularGreedyDifferentialSweep(t *testing.T) {
 	for _, c := range difftest.Sweep() {
 		c := c
@@ -32,8 +33,8 @@ func TestTabularGreedyDifferentialSweep(t *testing.T) {
 
 // TestShardedDifferentialSweep is the shard-and-stitch acceptance suite:
 // for every clustered multi-component and fully connected case, a
-// ShardOn run of every execution variant (workers, lazy, threshold,
-// generic kernel, instrumented scan) reproduces the monolithic Workers=1
+// ShardOn run of every execution variant (component workers, generic
+// kernel, instrumented scan) reproduces the monolithic Workers=1
 // reference under the stitching contract — bit-identical on connected
 // instances, exact utility equality plus per-component schedule identity
 // on multi-component ones. See difftest.RunSharded.
@@ -42,7 +43,7 @@ func TestShardedDifferentialSweep(t *testing.T) {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
 			t.Parallel()
-			if err := difftest.RunSharded(c, difftest.Variants()); err != nil {
+			if err := difftest.RunSharded(c, difftest.ShardVariants()); err != nil {
 				t.Error(err)
 			}
 		})
@@ -53,7 +54,7 @@ func TestShardedDifferentialSweep(t *testing.T) {
 // acceptance suite: a ≥100-step random add/remove walk through the delta
 // operations, where after every step the patched problem must equal a
 // from-scratch compile, and periodic warm-started solves under every
-// execution variant (workers, lazy, generic kernel) must be bit-identical
+// execution variant (component workers, generic kernel) must be bit-identical
 // to cold solves of freshly compiled problems. The clustered cases must
 // actually adopt untouched components across the walk, or the warm-start
 // machinery would be passing vacuously.
@@ -77,49 +78,74 @@ func TestMutationWalkDifferentialSweep(t *testing.T) {
 	}
 }
 
-// TestTabularGreedyWorkerCountIrrelevant drives one mid-size C > 1 case
-// through a denser worker-count grid than the standard variant set,
-// including counts far above both GOMAXPROCS and the sample count.
+// TestTabularGreedyWorkerCountIrrelevant drives one clustered C > 1 case
+// through a denser component-worker grid than the standard sharded
+// variant set, including counts far above both GOMAXPROCS and the
+// component count, with PreferStay on and off.
 func TestTabularGreedyWorkerCountIrrelevant(t *testing.T) {
-	c := difftest.Case{Name: "worker-grid", Chargers: 6, Tasks: 24,
+	c := difftest.Case{Name: "worker-grid", Chargers: 10, Tasks: 30, Clusters: 5,
 		Duration: [2]int{4, 10}, Releases: 5, Colors: 3, Samples: 9, Seed: 42}
 	p, err := c.Problem()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := core.TabularGreedy(p, c.Options(1, false))
-	for _, w := range []int{2, 3, 4, 5, 7, 16, 64} {
-		got := core.TabularGreedy(p, c.Options(w, false))
-		if err := difftest.CompareResults(ref, got); err != nil {
-			t.Errorf("workers=%d: %v", w, err)
+	if p.SchedulableComponents() < 2 {
+		t.Fatalf("case decomposes into %d schedulable components — grid would be vacuous", p.SchedulableComponents())
+	}
+	for _, preferStay := range []bool{true, false} {
+		opts := func(workers int) core.Options {
+			o := c.Options(workers)
+			o.PreferStay = preferStay
+			o.Shard = core.ShardOn
+			return o
+		}
+		ref := core.TabularGreedy(p, opts(1))
+		for _, w := range []int{2, 3, 4, 5, 7, 16, 64} {
+			got := core.TabularGreedy(p, opts(w))
+			if err := difftest.CompareResults(ref, got); err != nil {
+				t.Errorf("preferStay=%v workers=%d: %v", preferStay, w, err)
+			}
 		}
 	}
 }
 
-// TestTabularGreedyLazyParallelComposition checks the remaining option
-// combinations: Lazy together with a Workers override (lazy selection is
-// sequential by design, but the options must still compose), and
-// PreferStay off under every strategy.
-func TestTabularGreedyLazyParallelComposition(t *testing.T) {
+// TestTabularGreedyOptionComposition checks that the monolithic run's
+// remaining option axes compose: the generic kernel and KernelStats,
+// alone and together, and a Workers override (a no-op without sharding),
+// each with PreferStay on and off.
+func TestTabularGreedyOptionComposition(t *testing.T) {
 	c := difftest.Case{Name: "compose", Chargers: 5, Tasks: 20,
 		Duration: [2]int{3, 9}, Releases: 4, Colors: 2, Seed: 77}
 	p, err := c.Problem()
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !p.FlatKernel() {
+		t.Fatal("default utility did not select the flat kernel — the generic axis would be vacuous")
+	}
 	for _, preferStay := range []bool{true, false} {
-		mkOpts := func(workers int, lazy bool) core.Options {
-			o := c.Options(workers, lazy)
+		opts := func(workers int, stats bool) core.Options {
+			o := c.Options(workers)
 			o.PreferStay = preferStay
+			o.Shard = core.ShardOff
+			o.KernelStats = stats
 			return o
 		}
-		ref := core.TabularGreedy(p, mkOpts(1, false))
+		ref := core.TabularGreedy(p, opts(1, false))
 		for _, v := range []struct {
 			name    string
 			workers int
-			lazy    bool
-		}{{"lazy+workers4", 4, true}, {"workers3", 3, false}, {"lazy", 1, true}} {
-			got := core.TabularGreedy(p, mkOpts(v.workers, v.lazy))
+			stats   bool
+			generic bool
+		}{
+			{"stats", 1, true, false},
+			{"workers3", 3, false, false},
+			{"generic", 1, false, true},
+			{"generic+stats+workers4", 4, true, true},
+		} {
+			p.SetFlatKernel(!v.generic)
+			got := core.TabularGreedy(p, opts(v.workers, v.stats))
+			p.SetFlatKernel(true)
 			if err := difftest.CompareResults(ref, got); err != nil {
 				t.Errorf("preferStay=%v %s: %v", preferStay, v.name, err)
 			}
@@ -135,7 +161,7 @@ func TestCompareResultsDetectsDivergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := core.TabularGreedy(p, c.Options(1, false))
+	ref := core.TabularGreedy(p, c.Options(1))
 	if err := difftest.CompareResults(ref, ref); err != nil {
 		t.Fatalf("self-comparison failed: %v", err)
 	}

@@ -32,49 +32,20 @@ type Options struct {
 	// true via DefaultOptions.
 	PreferStay bool
 
-	// Workers bounds the worker pool that fans the per-sample marginal
-	// accumulation and the per-sample state updates of each greedy step.
-	// 0 defaults to runtime.GOMAXPROCS(0); 1 runs the plain sequential
-	// path with no pool. Every worker count produces a bit-identical
-	// schedule: each (sample, policy) marginal is computed independently
-	// and the per-policy gains are reduced in a fixed canonical order
-	// (sample-major, exactly the sequential accumulation order), so the
-	// floating-point result cannot depend on goroutine scheduling. The
-	// differential suite in internal/difftest enforces this.
+	// Workers bounds how many coverage components a sharded run (see
+	// Shard) schedules at once. 0 defaults to runtime.GOMAXPROCS(0). Each
+	// component — and every monolithic run — is scheduled by one
+	// sequential greedy, and the components are stitched in canonical
+	// order, so every worker count produces a bit-identical schedule; the
+	// sharded sweep in internal/difftest enforces this.
 	Workers int
-
-	// Lazy selects policies through the stale-bound selector: cached
-	// optimistic marginals (valid upper bounds under submodularity, see
-	// lazy.go) let a greedy step skip exactly those policies that cannot
-	// reach the running best gain. Schedules are bit-identical to the
-	// eager path; only the number of marginal evaluations changes.
-	Lazy bool
-
-	// ParallelThreshold is the minimum per-step work — affected samples ×
-	// policies of the partition's charger — worth fanning out to the
-	// worker pool; steps below it run the sequential scan, and if even
-	// Samples × maxPol (the largest possible step) falls short the pool
-	// is never started. Dispatching a step costs two channel operations
-	// per chunk plus a goroutine wake-up, so small batches run faster
-	// sequentially no matter how many cores are idle — BENCH_core.json
-	// records Workers=4 losing 1.4–3× to Workers=1 on paper-scale
-	// instances at the old always-fan behavior. 0 selects
-	// DefaultParallelThreshold. Purely a performance knob: both sides of
-	// the cutoff compute bit-identical gains.
-	ParallelThreshold int
 
 	// KernelStats collects evaluation-kernel work counters (calls, cover
 	// entries visited, entries skipped by windows and saturation pruning)
-	// into Result.Kernel, at any worker count. The counters live on the
-	// per-sample states; the sample-fanned parallel path touches disjoint
-	// states, and the policy fan (which evaluates one state concurrently)
-	// counts into per-chunk scratch collectors merged at the reduction
-	// barrier — so parallel counters equal the sequential run's exactly
-	// (the same set of marginals is evaluated either way; kernel_test.go
-	// pins the parity). Instrumented runs take the per-state scan instead
-	// of the batched one — same results, slightly slower, exact counts.
-	// Sharded runs aggregate per-component counters in canonical
-	// component order.
+	// into Result.Kernel. The counters live on the per-sample states, so
+	// instrumented runs take the per-state scan instead of the batched
+	// one — same results, slightly slower, exact counts. Sharded runs
+	// aggregate per-component counters in canonical component order.
 	KernelStats bool
 
 	// Shard selects the shard-and-stitch decomposition (shard.go): the
@@ -119,13 +90,6 @@ type Options struct {
 	Trace *obs.Trace
 }
 
-// DefaultParallelThreshold is the Options.ParallelThreshold used when the
-// caller leaves it zero. Measured on the paper-scale workload (sec. 7.1
-// defaults): below roughly this many (sample, policy) marginals per step,
-// pool dispatch overhead exceeds the scan work itself even with all
-// workers idle.
-const DefaultParallelThreshold = 512
-
 // DefaultOptions returns the options used by the paper's experiments for
 // a given color count.
 func DefaultOptions(colors int) Options {
@@ -151,9 +115,6 @@ func (o Options) normalize() Options {
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.ParallelThreshold <= 0 {
-		o.ParallelThreshold = DefaultParallelThreshold
 	}
 	if o.ShardThreshold <= 0 {
 		o.ShardThreshold = DefaultShardThreshold
@@ -208,8 +169,8 @@ type Result struct {
 // 1−1/e (Lemma 5.1), and accounting for switching delay the overall
 // guarantee is (1−ρ)(1−1/e) (Theorem 5.1).
 //
-// Execution strategy (Workers, Lazy) never changes the output schedule —
-// only how fast it is found. See Options.Workers and Options.Lazy.
+// The worker count never changes the output schedule — only how fast a
+// sharded run finds it. See Options.Workers.
 func TabularGreedy(p *Problem, opt Options) Result {
 	res, _ := tabularGreedy(nil, p, opt)
 	return res
@@ -319,7 +280,6 @@ func monolithicGreedy(done <-chan struct{}, p *Problem, opt Options, plan *color
 	}
 
 	sel := newSelector(p, opt)
-	defer sel.close()
 
 	gsp := parent.Start("greedy").
 		Int("chargers", int64(n)).Int("slots", int64(K)).
@@ -377,10 +337,60 @@ func monolithicGreedy(done <-chan struct{}, p *Problem, opt Options, plan *color
 	return res, true
 }
 
-// selectPolicy is the sequential reference selection for partition (i,k):
+// selector executes the per-partition policy selection and state update of
+// TabularGreedy. With the flat kernel a step runs through the entry-major
+// batched scans (gainsBatchFlat, applyBatchFlat); the per-state reference
+// scan remains for custom utilities, for single-sample steps and for
+// instrumented runs (KernelStats counts per-state work there). Both scans
+// produce bit-identical decisions.
+type selector struct {
+	p          *Problem
+	preferStay bool
+	stats      bool      // kernel stats collection on ⇒ per-state scan
+	gains      []float64 // per-policy gains, maxPol wide
+	acc        []float64 // per-sample accumulators of the batched scans, N wide
+}
+
+func newSelector(p *Problem, opt Options) *selector {
+	maxPol := 0
+	for _, g := range p.Gamma {
+		if len(g) > maxPol {
+			maxPol = len(g)
+		}
+	}
+	return &selector{
+		p:          p,
+		preferStay: opt.PreferStay,
+		stats:      opt.KernelStats,
+		gains:      make([]float64, maxPol),
+		acc:        make([]float64, opt.Samples),
+	}
+}
+
+func (s *selector) selectPolicy(states []*EnergyState, affected []int, i, k, prev int) int {
+	nPol := len(s.p.Gamma[i])
+	if s.p.kern.linear && !s.stats && len(affected) > 1 {
+		gainsBatchFlat(s.p, states, affected, i, k, nPol, s.gains, s.acc)
+		return argmaxPolicy(s.gains[:nPol], prev, s.preferStay)
+	}
+	return selectPolicy(s.p, states, affected, i, k, prev, s.preferStay, s.gains)
+}
+
+// apply commits the chosen policy to every affected sample state.
+func (s *selector) apply(states []*EnergyState, affected []int, i, k, pol int) {
+	if s.p.kern.linear && len(affected) > 1 {
+		applyBatchFlat(s.p, states, affected, i, k, pol, s.acc)
+		return
+	}
+	for _, smp := range affected {
+		states[smp].Apply(i, k, pol)
+	}
+}
+
+// selectPolicy is the per-state reference selection for partition (i,k):
 // it fills gains[pol] with the summed marginal over the affected sample
-// states (in affected order — the canonical reduction order every other
-// execution path reproduces) and reduces with argmaxPolicy.
+// states (in affected order — the canonical reduction order the batched
+// scan reproduces) and reduces with argmaxPolicy.
 func selectPolicy(p *Problem, states []*EnergyState, affected []int, i, k, prev int, preferStay bool, gains []float64) int {
 	nPol := len(p.Gamma[i])
 	for pol := 0; pol < nPol; pol++ {
@@ -394,7 +404,7 @@ func selectPolicy(p *Problem, states []*EnergyState, affected []int, i, k, prev 
 }
 
 // argmaxPolicy is the single reduction defining the selection's tie
-// semantics for every execution path (sequential, parallel and lazy): the
+// semantics for both scans (per-state and batched): the
 // maximum gain wins; on exact float equality the previous slot's policy
 // prev wins when preferStay is set — regardless of where prev sits in the
 // scan order — and otherwise the lowest index wins.

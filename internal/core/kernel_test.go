@@ -106,14 +106,10 @@ func TestFlatKernelMatchesGenericQuick(t *testing.T) {
 			frac := float64(rng.Intn(4)) / 3.0
 			var a, b float64
 			switch rng.Intn(4) {
-			case 0:
+			case 0, 1:
 				a = flat.Marginal(i, k, pol)
 				p.SetFlatKernel(false)
 				b = gen.Marginal(i, k, pol)
-			case 1:
-				a, _ = flat.MarginalUpper(i, k, pol)
-				p.SetFlatKernel(false)
-				b, _ = gen.MarginalUpper(i, k, pol)
 			case 2:
 				a = flat.MarginalScaled(i, k, pol, frac)
 				p.SetFlatKernel(false)
@@ -273,7 +269,6 @@ func TestMarginalPathsAllocationFree(t *testing.T) {
 	acc := make([]float64, 1)
 	checks := map[string]func(){
 		"Marginal":       func() { es.Marginal(0, 1, 0) },
-		"MarginalUpper":  func() { es.MarginalUpper(0, 1, 0) },
 		"MarginalScaled": func() { es.MarginalScaled(0, 1, 0, 0.5) },
 		"gainsBatchFlat": func() { gainsBatchFlat(p, states, affected, 0, 1, len(p.Gamma[0]), gains, acc) },
 		"applyBatchFlat": func() { applyBatchFlat(p, states, affected, 0, 1, 0, acc) },
@@ -414,8 +409,8 @@ func TestRestoreUnsaturates(t *testing.T) {
 }
 
 // KernelStats must balance (Offered = Visited + Skipped), see pruning in a
-// saturating run, and survive the parallel fan with counts equal to the
-// sequential run's.
+// saturating run, and leave the schedule of the batched (uninstrumented)
+// scan unchanged.
 func TestKernelStatsCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	in := kernelProneInstance(rng, 3, 12)
@@ -438,41 +433,38 @@ func TestKernelStatsCounters(t *testing.T) {
 		t.Fatalf("saturating run skipped no evaluations: %+v", ks)
 	}
 
-	par := TabularGreedy(p, Options{Colors: 2, PreferStay: true, Workers: 2, KernelStats: true})
-	if par.Kernel != ks {
-		t.Fatalf("parallel stats diverge from sequential: %+v != %+v", par.Kernel, ks)
+	plain := TabularGreedy(p, Options{Colors: 2, PreferStay: true, Workers: 1})
+	if plain.Kernel != (KernelStats{}) {
+		t.Fatalf("uninstrumented run counted work: %+v", plain.Kernel)
 	}
-	if err := compareSchedules(res.Schedule, par.Schedule); err != nil {
-		t.Fatalf("instrumented and parallel schedules diverge: %v", err)
+	if err := compareSchedules(res.Schedule, plain.Schedule); err != nil {
+		t.Fatalf("instrumented and batched schedules diverge: %v", err)
+	}
+	if res.RUtility != plain.RUtility {
+		t.Fatalf("instrumented utility %v != batched %v", res.RUtility, plain.RUtility)
 	}
 }
 
-// Regression for the Workers > 1 stats loss: counters used to be silently
-// zeroed whenever the pool could start. Both parallel fan shapes — the
-// sample fan (Colors > 1: disjoint states per chunk) and the policy fan
-// (Colors == 1: one state, per-chunk scratch collectors merged at the
-// barrier) — must now report exactly the sequential run's counts at any
-// worker count, with the schedule bit-identical throughout. The forced
-// ParallelThreshold guarantees the pool actually engages.
+// Sharded runs aggregate per-component kernel counters in canonical
+// component order, so the totals — and the schedule — are exactly the
+// same at every component worker count, for the per-sample (C = 1) and
+// multi-sample (C = 3) shapes alike.
 func TestKernelStatsParallelParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(48))
-	in := kernelProneInstance(rng, 4, 16)
-	for j := range in.Tasks {
-		in.Tasks[j].Energy = 1 + rng.Float64()*10
-	}
-	p := mustProblem(t, in)
-	for _, colors := range []int{1, 3} { // 1 → policy fan, 3 → sample fan
-		base := Options{Colors: colors, PreferStay: true, KernelStats: true, ParallelThreshold: 1}
-		seq := base
-		seq.Workers = 1
-		ref := TabularGreedy(p, seq)
-		if ref.Kernel.Calls == 0 {
-			t.Fatalf("C=%d: sequential run counted nothing: %+v", colors, ref.Kernel)
-		}
-		for _, workers := range []int{2, 4, 7} {
+	p := shardProblem(t, 48, 4, 8, 24)
+	for _, colors := range []int{1, 3} {
+		base := Options{Colors: colors, PreferStay: true, KernelStats: true, Shard: ShardOn}
+		run := func(workers int) Result {
 			opt := base
 			opt.Workers = workers
-			got := TabularGreedy(p, opt)
+			opt.Rng = rand.New(rand.NewSource(5))
+			return TabularGreedy(p, opt)
+		}
+		ref := run(1)
+		if ref.Kernel.Calls == 0 || ref.Shards < 2 {
+			t.Fatalf("C=%d: vacuous reference (shards %d, stats %+v)", colors, ref.Shards, ref.Kernel)
+		}
+		for _, workers := range []int{2, 4, 7} {
+			got := run(workers)
 			if got.Kernel != ref.Kernel {
 				t.Errorf("C=%d workers=%d: stats %+v, want %+v", colors, workers, got.Kernel, ref.Kernel)
 			}
@@ -495,25 +487,4 @@ func compareSchedules(a, b Schedule) error {
 		}
 	}
 	return nil
-}
-
-// The pool must not start when even the largest possible step cannot reach
-// the work threshold, and must start when the threshold is forced down.
-func TestWorkerPoolGating(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	p := mustProblem(t, kernelProneInstance(rng, 3, 12))
-	small := Options{Colors: 2, Workers: 4, PreferStay: true}.normalize()
-	s := newSelector(p, small)
-	if s.pool != nil {
-		t.Errorf("pool started below the threshold (Samples=%d)", small.Samples)
-	}
-	s.close()
-
-	forced := small
-	forced.ParallelThreshold = 1
-	s = newSelector(p, forced)
-	if s.pool == nil {
-		t.Error("pool not started with ParallelThreshold=1 and Workers=4")
-	}
-	s.close()
 }

@@ -211,27 +211,28 @@ func TestTraceScheduleSharded(t *testing.T) {
 	}
 }
 
-// The disabled-trace marginal loop must stay allocation-free after the
-// kernel-stats parameter refactor: Marginal, MarginalScaled and the
-// policy fan's marginalInto (nil and non-nil collector) at 0 allocs/op.
+// The disabled-trace marginal loop must stay allocation-free: Marginal
+// and MarginalScaled at 0 allocs/op, with kernel-stats collection off and
+// on.
 func TestTraceDisabledMarginalAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	in := kernelProneInstance(rng, 3, 12)
 	p := mustProblem(t, in)
 	es := p.AcquireState()
 	defer p.ReleaseState(es)
-	var st KernelStats
-	allocs := testing.AllocsPerRun(200, func() {
+	loop := func() {
 		for i := range p.Gamma {
 			for pol := range p.Gamma[i] {
 				_ = es.Marginal(i, 0, pol)
 				_ = es.MarginalScaled(i, 0, pol, 0.5)
-				_ = es.marginalInto(i, 0, pol, nil)
-				_ = es.marginalInto(i, 0, pol, &st)
 			}
 		}
-	})
-	if allocs != 0 {
+	}
+	if allocs := testing.AllocsPerRun(200, loop); allocs != 0 {
 		t.Fatalf("marginal loop allocated %v times per run, want 0", allocs)
+	}
+	es.EnableKernelStats()
+	if allocs := testing.AllocsPerRun(200, loop); allocs != 0 {
+		t.Fatalf("instrumented marginal loop allocated %v times per run, want 0", allocs)
 	}
 }

@@ -85,17 +85,27 @@ func TestRunPassesOnTheFullSweep(t *testing.T) {
 }
 
 func TestVariantsCoverTheKernelAxes(t *testing.T) {
-	var generic, gated, stats, pooled, lazy bool
+	var generic, stats bool
 	for _, v := range Variants() {
 		generic = generic || v.Generic
-		gated = gated || v.Threshold >= core.DefaultParallelThreshold
 		stats = stats || v.Stats
-		pooled = pooled || (v.Workers > 1 && v.Threshold == 0 && !v.Generic)
-		lazy = lazy || v.Lazy
+	}
+	var shardGeneric, shardStats, shardWorkers bool
+	for _, v := range ShardVariants() {
+		shardGeneric = shardGeneric || v.Generic
+		shardStats = shardStats || v.Stats
+		shardWorkers = shardWorkers || v.Workers > 1
+	}
+	var walkGeneric, walkWorkers bool
+	for _, v := range MutationVariants() {
+		walkGeneric = walkGeneric || v.Generic
+		walkWorkers = walkWorkers || v.Workers > 1
 	}
 	for name, ok := range map[string]bool{
-		"generic kernel": generic, "threshold gating": gated,
-		"instrumented scan": stats, "forced pool": pooled, "lazy": lazy,
+		"generic kernel": generic, "instrumented scan": stats,
+		"sharded generic kernel": shardGeneric, "sharded instrumented scan": shardStats,
+		"component workers":            shardWorkers,
+		"mutation-walk generic kernel": walkGeneric, "mutation-walk component workers": walkWorkers,
 	} {
 		if !ok {
 			t.Errorf("variant set never exercises %s", name)

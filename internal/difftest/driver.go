@@ -1,9 +1,9 @@
 // Cross-driver differential suite: the online negotiation must be
 // substrate-invariant. Every seeded scenario of DriverSweep — failure-free
 // and all four injected failure modes, reliability layer on and off — is
-// run on the sequential in-memory engine (the reference), the
-// goroutine-per-charger in-memory engine, and the loopback TCP engine
-// (package transport), and the three executions must agree bit for bit:
+// run on the in-memory engine (the reference) and on the loopback TCP
+// engine (package transport), and the two executions must agree bit for
+// bit:
 // identical committed orientation timelines, utilities and switch counts,
 // reflect.DeepEqual Stats, and a message balance that reconciles exactly,
 //
@@ -57,7 +57,7 @@ type DriverScenario struct {
 	Name string
 	Seed int64
 	// Opt carries the failure-injection knobs and Reliable; the harness
-	// fills Seed and the per-driver fields (Parallel, Driver).
+	// fills Seed and, for the socket run, Driver.
 	Opt online.Options
 }
 
@@ -90,22 +90,6 @@ func DriverSweep() []DriverScenario {
 		}
 	}
 	return out
-}
-
-// DriverVariant is one non-reference execution substrate compared against
-// the sequential in-memory engine.
-type DriverVariant struct {
-	Name  string
-	Apply func(*online.Options)
-}
-
-// DriverVariants returns the substrates under test: the in-memory
-// goroutine-per-charger stepping fan and the loopback TCP engine.
-func DriverVariants() []DriverVariant {
-	return []DriverVariant{
-		{Name: "mem-parallel", Apply: func(o *online.Options) { o.Parallel = true }},
-		{Name: "tcp", Apply: func(o *online.Options) { o.Driver = transport.Factory }},
-	}
 }
 
 // CheckMessageBalance verifies the netsim accounting identity that every
@@ -175,9 +159,9 @@ func CompareOnlineResults(ref, got online.Result) error {
 	return nil
 }
 
-// RunDriverScenario executes one sweep cell on the reference substrate and
-// every variant, checking equivalence, the exact message balance on each
-// run, and the anti-vacuity guards. It returns the first divergence.
+// RunDriverScenario executes one sweep cell on the in-memory reference and
+// on the TCP engine, checking equivalence, the exact message balance on
+// each run, and the anti-vacuity guards. It returns the first divergence.
 func RunDriverScenario(sc DriverScenario) error {
 	p, err := ChaosProblem(sc.Seed)
 	if err != nil {
@@ -195,19 +179,16 @@ func RunDriverScenario(sc DriverScenario) error {
 	if err := checkVacuity(opt, ref.Stats.Net); err != nil {
 		return fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
-	for _, v := range DriverVariants() {
-		o := opt
-		v.Apply(&o)
-		got, err := online.Run(p, o)
-		if err != nil {
-			return fmt.Errorf("scenario %s, driver %s: %w", sc.Name, v.Name, err)
-		}
-		if err := CheckMessageBalance(got.Stats.Net); err != nil {
-			return fmt.Errorf("scenario %s, driver %s: %w", sc.Name, v.Name, err)
-		}
-		if err := CompareOnlineResults(ref, got); err != nil {
-			return fmt.Errorf("scenario %s, driver %s: %w", sc.Name, v.Name, err)
-		}
+	opt.Driver = transport.Factory
+	got, err := online.Run(p, opt)
+	if err != nil {
+		return fmt.Errorf("scenario %s, driver tcp: %w", sc.Name, err)
+	}
+	if err := CheckMessageBalance(got.Stats.Net); err != nil {
+		return fmt.Errorf("scenario %s, driver tcp: %w", sc.Name, err)
+	}
+	if err := CompareOnlineResults(ref, got); err != nil {
+		return fmt.Errorf("scenario %s, driver tcp: %w", sc.Name, err)
 	}
 	return nil
 }

@@ -13,8 +13,8 @@ import (
 // stitching contract:
 //
 //   - single-component (Connected) cases: bit-identical schedules and
-//     exactly equal utilities — CompareResults, the same bar the worker
-//     and kernel variants are held to;
+//     exactly equal utilities — CompareResults, the same bar the kernel
+//     variants are held to;
 //   - multi-component cases: exactly equal utilities, cell-for-cell
 //     identical assignments, and -1 exactly on the padding cells past a
 //     component's own horizon (where every monolithic assignment has
@@ -48,7 +48,7 @@ func RunSharded(c Case, variants []Variant) error {
 	if err != nil {
 		return err
 	}
-	monoOpt := c.Options(1, false)
+	monoOpt := c.Options(1)
 	monoOpt.Shard = core.ShardOff
 	mono := core.TabularGreedy(p, monoOpt)
 

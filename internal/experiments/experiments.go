@@ -38,9 +38,10 @@ type Options struct {
 	// horizons) so the whole suite runs in seconds. Used by tests and
 	// smoke runs; the series shapes remain, absolute values differ.
 	Quick bool
-	// Workers bounds TabularGreedy's worker pool (core.Options.Workers):
-	// 0 = one worker per CPU, 1 = sequential. Any value produces the
-	// same figures bit-for-bit; only wall-clock time changes.
+	// Workers bounds how many coverage components a sharded solve
+	// schedules at once (core.Options.Workers): 0 = one per CPU. Any
+	// value produces the same figures bit-for-bit; only wall-clock time
+	// changes.
 	Workers int
 	// Shard selects the shard-and-stitch mode (core.Options.Shard). Like
 	// Workers, any value regenerates bit-identical figures — the paper's

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"haste/internal/core"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden figure snapshots")
@@ -60,9 +62,10 @@ func TestGoldenFigures(t *testing.T) {
 	}
 }
 
-// TestGoldenFiguresWorkerInvariant re-renders one snapshot figure at
-// Workers = 1 and Workers = 8: the parallel fan must not move the figures
-// at all, not even in the last printed digit.
+// TestGoldenFiguresWorkerInvariant re-renders one snapshot figure with
+// every solve sharded at Workers = 1 and Workers = 8 (the worker count
+// only acts on sharded runs): concurrent component scheduling must not
+// move the figures at all, not even in the last printed digit.
 func TestGoldenFiguresWorkerInvariant(t *testing.T) {
 	e, err := ByID("fig4")
 	if err != nil {
@@ -71,6 +74,7 @@ func TestGoldenFiguresWorkerInvariant(t *testing.T) {
 	render := func(workers int) string {
 		o := goldenOptions
 		o.Workers = workers
+		o.Shard = core.ShardOn
 		tbl, err := e.Run(o)
 		if err != nil {
 			t.Fatal(err)

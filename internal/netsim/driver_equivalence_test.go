@@ -3,8 +3,43 @@ package netsim
 import (
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 )
+
+// concurrentStep is a test stepping fan with the socket driver's shape:
+// every up node steps on its own goroutine, with a barrier before the
+// round loop resumes. RunRounds promises that outcomes do not depend on
+// the fan a driver supplies; comparing this fan against the Engine's
+// sequential one pins that promise without sockets, and under the race
+// detector it checks that the round loop touches no node state while a
+// fan is in flight.
+func concurrentStep(nodes []Node) StepFunc {
+	return func(round int, down []bool, inboxes [][]Message, outs []Payload) error {
+		var wg sync.WaitGroup
+		for i := range nodes {
+			if down != nil && down[i] {
+				continue
+			}
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				outs[i], _ = nodes[i].Step(inboxes[i])
+			}(i)
+		}
+		wg.Wait()
+		return nil
+	}
+}
+
+// runFan drives nodes through one session with the Engine's sequential
+// fan or, when concurrent is set, with concurrentStep.
+func runFan(topo [][]int, opt Options, nodes []Node, concurrent bool) (Stats, error) {
+	if concurrent {
+		return RunRounds(topo, opt, concurrentStep(nodes))
+	}
+	return (&Engine{Neighbors: topo, Opt: opt}).Run(nodes)
+}
 
 // randomTopology draws a connected symmetric topology: a random spanning
 // chain plus extra random edges.
@@ -37,12 +72,11 @@ func randomTopology(rng *rand.Rand, n int) [][]int {
 	return out
 }
 
-// TestDriverEquivalenceSeededTopologies pins the engine's determinism
-// contract on richer inputs than the line graph: on seeded random
-// topologies the goroutine-per-node driver and the sequential driver must
-// deliver identical node outcomes and identical message/round accounting.
-// CI runs this under the race detector, where the parallel driver's
-// barrier discipline is actually checked.
+// TestDriverEquivalenceSeededTopologies pins the round loop's determinism
+// contract: on seeded random topologies a concurrent stepping fan and the
+// Engine's sequential fan must deliver identical node outcomes and
+// identical message/round accounting. CI runs this under the race
+// detector, where the fan's barrier discipline is actually checked.
 func TestDriverEquivalenceSeededTopologies(t *testing.T) {
 	for _, seed := range []int64{201, 202, 203} {
 		rng := rand.New(rand.NewSource(seed))
@@ -55,15 +89,14 @@ func TestDriverEquivalenceSeededTopologies(t *testing.T) {
 		for i := range vals {
 			vals[i] = rng.Intn(1000)
 		}
-		run := func(parallel bool) ([]int, Stats) {
+		run := func(concurrent bool) ([]int, Stats) {
 			nodes := make([]Node, n)
 			for i := 0; i < n; i++ {
 				nodes[i] = &maxNode{val: vals[i]}
 			}
-			e := &Engine{Neighbors: topo, Opt: Options{Parallel: parallel}}
-			stats, err := e.Run(nodes)
+			stats, err := runFan(topo, Options{}, nodes, concurrent)
 			if err != nil {
-				t.Fatalf("seed %d parallel=%v: %v", seed, parallel, err)
+				t.Fatalf("seed %d concurrent=%v: %v", seed, concurrent, err)
 			}
 			out := make([]int, n)
 			for i, nd := range nodes {
@@ -84,8 +117,8 @@ func TestDriverEquivalenceSeededTopologies(t *testing.T) {
 
 // TestDriverEquivalenceUnderFailureInjection pins the determinism contract
 // for every failure mode: all random draws happen outside the stepping
-// fan, so the sequential and goroutine-per-node drivers must consume the
-// RNG identically and produce bit-identical outcomes and counters.
+// fan, so the sequential and concurrent fans must consume the RNG
+// identically and produce bit-identical outcomes and counters.
 func TestDriverEquivalenceUnderFailureInjection(t *testing.T) {
 	modes := map[string]Options{
 		"drop":  {DropRate: 0.3},
@@ -109,19 +142,17 @@ func TestDriverEquivalenceUnderFailureInjection(t *testing.T) {
 			for i := range vals {
 				vals[i] = rng.Intn(1000)
 			}
-			run := func(parallel bool) ([]int, Stats) {
+			run := func(concurrent bool) ([]int, Stats) {
 				nodes := make([]Node, n)
 				for i := 0; i < n; i++ {
 					nodes[i] = &maxNode{val: vals[i]}
 				}
 				o := opt
-				o.Parallel = parallel
 				o.MaxRounds = 500
 				o.Rng = rand.New(rand.NewSource(seed * 31))
-				e := &Engine{Neighbors: topo, Opt: o}
-				stats, err := e.Run(nodes)
+				stats, err := runFan(topo, o, nodes, concurrent)
 				if err != nil && err != ErrNoQuiescence {
-					t.Fatalf("%s seed %d parallel=%v: %v", name, seed, parallel, err)
+					t.Fatalf("%s seed %d concurrent=%v: %v", name, seed, concurrent, err)
 				}
 				out := make([]int, n)
 				for i, nd := range nodes {

@@ -8,10 +8,11 @@
 // shows the asynchronous executions can be reordered into a global
 // sequence (the DAG/topological-sort argument), so a round-synchronized
 // engine reproduces the algorithm's behaviour exactly while keeping runs
-// reproducible. The engine supports a sequential and a goroutine-per-node
-// parallel driver — tests require both to produce identical outcomes — and
-// optional failure injection to exercise the negotiation protocol's
-// tolerance.
+// reproducible. The in-memory Engine steps the nodes sequentially; the
+// loopback TCP engine (package transport) shares its round loop
+// (RunRounds), and the cross-driver differential suite requires both to
+// produce identical outcomes. Optional failure injection exercises the
+// negotiation protocol's tolerance.
 //
 // # Failure model
 //
@@ -28,15 +29,17 @@
 //     (the fault is the outage and the lost traffic, not amnesia).
 //
 // All random draws happen in the single-threaded delivery/bookkeeping
-// sections of the round loop, so the sequential and parallel drivers
-// consume the RNG identically and produce bit-identical outcomes.
+// sections of the round loop, so every driver consumes the RNG
+// identically and produces bit-identical outcomes. Every rate must be a
+// probability in [0, 1]; RunRounds rejects anything else with ErrBadRate.
 package netsim
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"sort"
-	"sync"
 )
 
 // Payload is an opaque protocol message body.
@@ -106,13 +109,22 @@ type Options struct {
 	// Rng drives failure injection; required if any failure mode above is
 	// enabled (Run returns ErrRngRequired otherwise).
 	Rng *rand.Rand
-	// Parallel steps all nodes concurrently (one goroutine per node) with
-	// a barrier between rounds. Results are identical to the sequential
-	// driver because inboxes are assembled deterministically and every
-	// random draw happens outside the stepping fan.
-	Parallel bool
 	// MaxRounds caps a session (default 10000).
 	MaxRounds int
+}
+
+// checkRates returns ErrBadRate, naming the field, for the first failure
+// rate that is not a probability (non-finite or outside [0, 1]).
+func (o Options) checkRates() error {
+	for _, r := range []struct {
+		name string
+		v    float64
+	}{{"DropRate", o.DropRate}, {"DupRate", o.DupRate}, {"DelayRate", o.DelayRate}, {"CrashRate", o.CrashRate}} {
+		if math.IsNaN(r.v) || r.v < 0 || r.v > 1 {
+			return fmt.Errorf("%w: %s = %v", ErrBadRate, r.name, r.v)
+		}
+	}
+	return nil
 }
 
 // failureInjection reports whether any failure mode is enabled.
@@ -156,6 +168,12 @@ func (s *Stats) Add(o Stats) {
 // flowing.
 var ErrNoQuiescence = errors.New("netsim: session did not quiesce within MaxRounds")
 
+// ErrBadRate is returned by RunRounds when a failure rate is not a
+// probability: NaN, ±Inf, negative or above 1. Such a rate would silently
+// disable the failure mode (negative, NaN) or make every draw fire (above
+// 1), so the session refuses to start instead.
+var ErrBadRate = errors.New("netsim: failure rate must be a probability in [0, 1]")
+
 // ErrRngRequired is returned by Run when a failure mode is enabled but
 // Options.Rng is nil — failure injection silently disabled would make
 // every chaos experiment a no-op.
@@ -179,11 +197,7 @@ type delayedMsg struct {
 // in-flight delayed messages (global quiescence) or MaxRounds is hit.
 // len(nodes) must equal len(Neighbors).
 func (e *Engine) Run(nodes []Node) (Stats, error) {
-	step := sequentialStep(nodes)
-	if e.Opt.Parallel {
-		step = parallelStep(nodes)
-	}
-	return RunRounds(e.Neighbors, e.Opt, step)
+	return RunRounds(e.Neighbors, e.Opt, sequentialStep(nodes))
 }
 
 // Close implements Driver. The in-memory engine holds no resources.
@@ -208,25 +222,6 @@ func sequentialStep(nodes []Node) StepFunc {
 	}
 }
 
-// parallelStep steps every up node on its own goroutine with a barrier.
-func parallelStep(nodes []Node) StepFunc {
-	return func(round int, down []bool, inboxes [][]Message, outs []Payload) error {
-		var wg sync.WaitGroup
-		for i := range nodes {
-			if down != nil && down[i] {
-				continue
-			}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				outs[i], _ = nodes[i].Step(inboxes[i])
-			}(i)
-		}
-		wg.Wait()
-		return nil
-	}
-}
-
 // StepFunc executes one round's stepping fan for RunRounds: for every up
 // node i (down == nil, or down[i] == false) it must run Step on node i's
 // inbox and store the broadcast payload in outs[i]. outs is pre-cleared to
@@ -238,11 +233,12 @@ type StepFunc func(round int, down []bool, inboxes [][]Message, outs []Payload) 
 // crash draws, delivery bookkeeping and all failure-injection RNG draws
 // happen here, single-threaded, in a fixed order — before (crash) and
 // after (drop/dup/delay) the stepping fan. A driver only supplies the fan,
-// so the sequential, parallel and socket drivers consume the RNG
-// identically and produce bit-identical Stats and inbox orderings by
-// construction. It runs until a round passes with no broadcasts and no
-// in-flight delayed messages (global quiescence), MaxRounds is hit
-// (ErrNoQuiescence), or the step fan fails.
+// so the in-memory and socket drivers consume the RNG identically and
+// produce bit-identical Stats and inbox orderings by construction. It
+// runs until a round passes with no broadcasts and no in-flight delayed
+// messages (global quiescence), MaxRounds is hit (ErrNoQuiescence), or
+// the step fan fails. A failure rate outside [0, 1] fails the session
+// before its first round (ErrBadRate).
 func RunRounds(neighbors [][]int, opt Options, step StepFunc) (Stats, error) {
 	n := len(neighbors)
 	maxRounds := opt.MaxRounds
@@ -256,6 +252,9 @@ func RunRounds(neighbors [][]int, opt Options, step StepFunc) (Stats, error) {
 	downRounds := opt.CrashDownRounds
 	if downRounds <= 0 {
 		downRounds = 2
+	}
+	if err := opt.checkRates(); err != nil {
+		return Stats{}, err
 	}
 	if opt.failureInjection() && opt.Rng == nil {
 		return Stats{}, ErrRngRequired

@@ -1,7 +1,10 @@
 package netsim
 
 import (
+	"errors"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -45,33 +48,34 @@ func line(n int) [][]int {
 }
 
 func TestMaxConsensusOnLine(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		n := 8
-		nodes := make([]Node, n)
-		for i := 0; i < n; i++ {
-			nodes[i] = &maxNode{val: i * 3}
+	n := 8
+	nodes := make([]Node, n)
+	for i := 0; i < n; i++ {
+		nodes[i] = &maxNode{val: i * 3}
+	}
+	e := &Engine{Neighbors: line(n)}
+	stats, err := e.Run(nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := (n - 1) * 3
+	for i, nd := range nodes {
+		if got := nd.(*maxNode).best; got != want {
+			t.Errorf("node %d best = %d, want %d", i, got, want)
 		}
-		e := &Engine{Neighbors: line(n), Opt: Options{Parallel: parallel}}
-		stats, err := e.Run(nodes)
-		if err != nil {
-			t.Fatalf("parallel=%v: %v", parallel, err)
-		}
-		want := (n - 1) * 3
-		for i, nd := range nodes {
-			if got := nd.(*maxNode).best; got != want {
-				t.Errorf("parallel=%v node %d best = %d, want %d", parallel, i, got, want)
-			}
-		}
-		// Information needs at least diameter rounds to cross the line.
-		if stats.Rounds < n-1 {
-			t.Errorf("parallel=%v rounds = %d, implausibly few", parallel, stats.Rounds)
-		}
-		if stats.Messages == 0 {
-			t.Error("no messages counted")
-		}
+	}
+	// Information needs at least diameter rounds to cross the line.
+	if stats.Rounds < n-1 {
+		t.Errorf("rounds = %d, implausibly few", stats.Rounds)
+	}
+	if stats.Messages == 0 {
+		t.Error("no messages counted")
 	}
 }
 
+// The line graph is the longest-diameter case: the Engine's sequential
+// fan and a goroutine-per-node fan (concurrentStep) must agree on every
+// node's outcome and on the accounting.
 func TestSequentialAndParallelAgree(t *testing.T) {
 	n := 10
 	run := func(parallel bool) ([]int, Stats) {
@@ -79,8 +83,7 @@ func TestSequentialAndParallelAgree(t *testing.T) {
 		for i := 0; i < n; i++ {
 			nodes[i] = &maxNode{val: (i * 7) % n}
 		}
-		e := &Engine{Neighbors: line(n), Opt: Options{Parallel: parallel}}
-		stats, err := e.Run(nodes)
+		stats, err := runFan(line(n), Options{}, nodes, parallel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,6 +205,49 @@ func TestRngRequiredWhenFailureInjectionEnabled(t *testing.T) {
 	}
 }
 
+// A failure rate that is not a probability must fail the session before
+// its first round, with or without an Rng: a negative or NaN rate would
+// otherwise silently disable the mode, and a rate above 1 would fire on
+// every draw.
+func TestBadRateRejected(t *testing.T) {
+	set := map[string]func(o *Options, v float64){
+		"DropRate":  func(o *Options, v float64) { o.DropRate = v },
+		"DupRate":   func(o *Options, v float64) { o.DupRate = v },
+		"DelayRate": func(o *Options, v float64) { o.DelayRate = v },
+		"CrashRate": func(o *Options, v float64) { o.CrashRate = v },
+	}
+	for field, apply := range set {
+		for _, v := range []float64{-1, math.NaN(), math.Inf(1), 1.5} {
+			for _, withRng := range []bool{false, true} {
+				var opt Options
+				apply(&opt, v)
+				if withRng {
+					opt.Rng = rand.New(rand.NewSource(1))
+				}
+				nodes := []Node{&maxNode{val: 1}, &maxNode{val: 2}}
+				st, err := (&Engine{Neighbors: line(2), Opt: opt}).Run(nodes)
+				if !errors.Is(err, ErrBadRate) {
+					t.Errorf("%s=%v rng=%v: err = %v, want ErrBadRate", field, v, withRng, err)
+				} else if !strings.Contains(err.Error(), field) {
+					t.Errorf("%s=%v: error %q does not name the field", field, v, err)
+				}
+				if st != (Stats{}) || nodes[0].(*maxNode).started {
+					t.Errorf("%s=%v rng=%v: session started (stats %+v)", field, v, withRng, st)
+				}
+			}
+		}
+		// The boundaries are probabilities and stay accepted.
+		for _, v := range []float64{0, 1} {
+			opt := Options{Rng: rand.New(rand.NewSource(1)), MaxRounds: 50}
+			apply(&opt, v)
+			_, err := (&Engine{Neighbors: line(2), Opt: opt}).Run([]Node{&maxNode{val: 1}, &maxNode{val: 2}})
+			if errors.Is(err, ErrBadRate) {
+				t.Errorf("%s=%v rejected: %v", field, v, err)
+			}
+		}
+	}
+}
+
 // Deterministic drop/dup sweep: at every rate combination the per-mode
 // counters must reconcile exactly with the delivered message count.
 func TestDropDupSweepReconciles(t *testing.T) {
@@ -282,28 +328,26 @@ func (o *onceNode) Step(inbox []Message) (Payload, bool) {
 // delay into loss at the session tail. The session must run one more round
 // so the destination actually sees it.
 func TestDelayedMessageDueOnQuietRoundIsConsumed(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		// DelayRate=1 with MaxDelay=1 postpones every delivery by exactly
-		// one round: both broadcasts from round 0 become due on round 1,
-		// where nobody sends.
-		rng := rand.New(rand.NewSource(1))
-		nodes := []Node{&onceNode{}, &onceNode{}}
-		e := &Engine{Neighbors: line(2), Opt: Options{DelayRate: 1, MaxDelay: 1, Rng: rng, Parallel: parallel}}
-		st, err := e.Run(nodes)
-		if err != nil {
-			t.Fatalf("parallel=%v: %v", parallel, err)
-		}
-		reconcile(t, st)
-		if st.Delayed != 2 {
-			t.Fatalf("parallel=%v: Delayed = %d, scenario must delay both broadcasts", parallel, st.Delayed)
-		}
-		var consumed int
-		for _, nd := range nodes {
-			consumed += nd.(*onceNode).consumed
-		}
-		if consumed != int(st.Messages) {
-			t.Errorf("parallel=%v: nodes consumed %d of %d counted deliveries", parallel, consumed, st.Messages)
-		}
+	// DelayRate=1 with MaxDelay=1 postpones every delivery by exactly one
+	// round: both broadcasts from round 0 become due on round 1, where
+	// nobody sends.
+	rng := rand.New(rand.NewSource(1))
+	nodes := []Node{&onceNode{}, &onceNode{}}
+	e := &Engine{Neighbors: line(2), Opt: Options{DelayRate: 1, MaxDelay: 1, Rng: rng}}
+	st, err := e.Run(nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reconcile(t, st)
+	if st.Delayed != 2 {
+		t.Fatalf("Delayed = %d, scenario must delay both broadcasts", st.Delayed)
+	}
+	var consumed int
+	for _, nd := range nodes {
+		consumed += nd.(*onceNode).consumed
+	}
+	if consumed != int(st.Messages) {
+		t.Errorf("nodes consumed %d of %d counted deliveries", consumed, st.Messages)
 	}
 }
 

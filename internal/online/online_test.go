@@ -95,18 +95,18 @@ func TestRunDeterministicAndParallelAgrees(t *testing.T) {
 	p := mustProblem(t, in)
 	a := mustRun(t, p, Options{Seed: 7})
 	b := mustRun(t, p, Options{Seed: 7})
-	c := mustRun(t, p, Options{Seed: 7, Parallel: true})
+	c := mustRun(t, p, Options{Seed: 7, Driver: concurrentFactory})
 	if !almostEq(a.Outcome.Utility, b.Outcome.Utility) {
 		t.Fatalf("same seed diverged: %v vs %v", a.Outcome.Utility, b.Outcome.Utility)
 	}
 	if !reflect.DeepEqual(a.Stats, c.Stats) {
-		t.Fatalf("parallel stats differ: %+v vs %+v", a.Stats, c.Stats)
+		t.Fatalf("concurrent-fan stats differ: %+v vs %+v", a.Stats, c.Stats)
 	}
 	for i := range a.Orientations {
 		for k := range a.Orientations[i] {
 			av, cv := a.Orientations[i][k], c.Orientations[i][k]
 			if (math.IsNaN(av) != math.IsNaN(cv)) || (!math.IsNaN(av) && av != cv) {
-				t.Fatalf("parallel plan differs at (%d,%d): %v vs %v", i, k, av, cv)
+				t.Fatalf("concurrent-fan plan differs at (%d,%d): %v vs %v", i, k, av, cv)
 			}
 		}
 	}

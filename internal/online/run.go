@@ -22,14 +22,11 @@ type Options struct {
 	// Seed drives the shared color hash and the final per-agent color
 	// sampling; runs with equal seeds are identical.
 	Seed int64
-	// Parallel runs every negotiation round with one goroutine per
-	// charger (results are identical to the sequential driver). It only
-	// selects between the in-memory engine's two stepping fans; a socket
-	// Driver is inherently concurrent and ignores it.
-	Parallel bool
 	// DropRate / DupRate inject message loss and duplication into the
 	// negotiation (see package netsim). The protocol degrades gracefully:
-	// sessions still terminate, utility may drop.
+	// sessions still terminate, utility may drop. Every rate must be a
+	// probability in [0, 1]; a negotiation fails with netsim.ErrBadRate
+	// otherwise.
 	DropRate, DupRate float64
 	// DelayRate / CrashRate inject bounded message delay (with reordering)
 	// and node crash/restart outages (see package netsim).
@@ -215,9 +212,9 @@ func Run(p *core.Problem, opt Options) (Result, error) {
 type negotiation struct {
 	NegotiationStats
 	net            netsim.Stats
-	nonQuiescent   int   // sessions that hit MaxRounds
-	unackedCommits int   // commits whose ack ledger was non-empty at session end
-	retransmits    int64 // reliability-layer UPD re-broadcasts
+	nonQuiescent   int         // sessions that hit MaxRounds
+	unackedCommits int         // commits whose ack ledger was non-empty at session end
+	retransmits    int64       // reliability-layer UPD re-broadcasts
 	plans          [][]float64 // per charger, orientation commands for [lockUntil, maxEnd)
 	agents         []*agent    // retained for white-box consistency tests
 }
@@ -241,7 +238,6 @@ func negotiate(p *core.Problem, opt Options, known []int, orient [][]float64, no
 	}
 
 	nopt := netsim.Options{
-		Parallel:  opt.Parallel,
 		DropRate:  opt.DropRate,
 		DupRate:   opt.DupRate,
 		DelayRate: opt.DelayRate,

@@ -46,6 +46,9 @@ func FuzzScheduleHandler(f *testing.F) {
 	in := workload.SmallScale().Generate(rand.New(rand.NewSource(1)))
 	valid := string(bytes.TrimSpace(instanceJSON(f, in)))
 	f.Add(`{"instance":` + valid + `}`)
+	f.Add(`{"instance":` + valid + `,"colors":3,"samples":6,"seed":42,"kernel_stats":true}`)
+	// Bodies that still carry the removed "lazy" option must take the
+	// unknown-field 400 path as gracefully as any other bad envelope.
 	f.Add(`{"instance":` + valid + `,"colors":3,"samples":6,"seed":42,"lazy":true,"kernel_stats":true}`)
 	f.Add(`{"instance":` + valid + `,"prefer_stay":false}`)
 
@@ -54,6 +57,7 @@ func FuzzScheduleHandler(f *testing.F) {
 	clustered := string(bytes.TrimSpace(instanceJSON(f, clusteredInstance(f, 1))))
 	f.Add(`{"instance":` + clustered + `,"shard":true}`)
 	f.Add(`{"instance":` + clustered + `,"shard":false,"colors":2,"samples":4}`)
+	f.Add(`{"instance":` + clustered + `,"shard":true,"colors":3,"samples":6}`)
 	f.Add(`{"instance":` + clustered + `,"shard":true,"colors":3,"samples":6,"lazy":true}`)
 
 	// The instio loader's own fuzz seeds, wrapped in the envelope — the

@@ -374,9 +374,9 @@ func TestCacheEvictionLRU(t *testing.T) {
 	}
 }
 
-// TestLazyAndPreferStayOptions: option plumbing reaches core — lazy must
-// be bit-identical to eager, prefer_stay=false must match the direct call.
-func TestLazyAndPreferStayOptions(t *testing.T) {
+// TestPreferStayOption: option plumbing reaches core — prefer_stay=false
+// must match the direct call.
+func TestPreferStayOption(t *testing.T) {
 	s := New(Config{})
 	in := testInstance(t, 9)
 	raw := instanceJSON(t, in)
@@ -385,18 +385,35 @@ func TestLazyAndPreferStayOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var eager, lazy, noStay scheduleResponse
-	decodeResponse(t, post(s, "/v1/schedule", requestBody(t, raw, map[string]any{"seed": 3})).Body.Bytes(), &eager)
-	decodeResponse(t, post(s, "/v1/schedule", requestBody(t, raw, map[string]any{"seed": 3, "lazy": true})).Body.Bytes(), &lazy)
+	var noStay scheduleResponse
 	decodeResponse(t, post(s, "/v1/schedule", requestBody(t, raw, map[string]any{"seed": 3, "prefer_stay": false})).Body.Bytes(), &noStay)
-
-	if err := schedulesEqual(eager.Schedule, lazy.Schedule); err != nil {
-		t.Fatalf("lazy diverged from eager: %v", err)
-	}
 	want := core.TabularGreedy(p, core.Options{
 		Colors: 1, PreferStay: false, Workers: 1, Rng: rand.New(rand.NewSource(3)),
 	})
 	if err := schedulesEqual(noStay.Schedule, want.Schedule.Policy); err != nil {
 		t.Fatalf("prefer_stay=false diverged from direct call: %v", err)
+	}
+}
+
+// TestScheduleRejectsLazyField pins what old clients see now that the
+// lazy selector is gone: a /v1/schedule body that still sends "lazy" (true
+// or false) is a 400 naming the unknown field, and the same body without
+// it succeeds — schedules were identical with or without the field.
+func TestScheduleRejectsLazyField(t *testing.T) {
+	s := New(Config{})
+	raw := instanceJSON(t, testInstance(t, 9))
+	for _, lazy := range []bool{true, false} {
+		rec := post(s, "/v1/schedule", requestBody(t, raw, map[string]any{"seed": 3, "lazy": lazy}))
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("lazy=%v: status %d, want 400: %s", lazy, rec.Code, rec.Body.Bytes())
+		}
+		var e errorResponse
+		decodeResponse(t, rec.Body.Bytes(), &e)
+		if e.Status != http.StatusBadRequest || !strings.Contains(e.Error, `unknown field "lazy"`) {
+			t.Fatalf("lazy=%v: error %+v does not name the field", lazy, e)
+		}
+	}
+	if rec := post(s, "/v1/schedule", requestBody(t, raw, map[string]any{"seed": 3})); rec.Code != http.StatusOK {
+		t.Fatalf("same body without lazy: status %d: %s", rec.Code, rec.Body.Bytes())
 	}
 }

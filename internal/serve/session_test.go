@@ -482,6 +482,28 @@ func TestSessionValidation(t *testing.T) {
 	}
 }
 
+// TestSessionCreateRejectsLazyField: a session create that still sends
+// the removed "lazy" option is a 400 naming the unknown field, opens no
+// session, and the same body without it creates one.
+func TestSessionCreateRejectsLazyField(t *testing.T) {
+	s := New(Config{})
+	raw := instanceJSON(t, clusteredInstance(t, 5))
+	body := `{"instance":` + strings.TrimSpace(string(raw)) + sessionOptsJSON + `,"lazy":true}`
+	rec := do(s, http.MethodPost, "/v1/session", []byte(body))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", rec.Code, rec.Body.Bytes())
+	}
+	var er errorResponse
+	decodeResponse(t, rec.Body.Bytes(), &er)
+	if er.Status != http.StatusBadRequest || !strings.Contains(er.Error, `unknown field "lazy"`) {
+		t.Fatalf("error %+v does not name the field", er)
+	}
+	if n := s.SessionCount(); n != 0 {
+		t.Fatalf("rejected create left %d sessions open", n)
+	}
+	createSession(t, s, raw, sessionOptsJSON)
+}
+
 // TestSessionSubscribe exercises the SSE stream against a real HTTP
 // server: the subscriber receives the current revision immediately, a
 // revision event after a PATCH, and a close event on DELETE.

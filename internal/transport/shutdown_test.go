@@ -115,6 +115,28 @@ func TestCloseWithoutRunLeaksNothing(t *testing.T) {
 	assertNoEngineGoroutines(t)
 }
 
+// The socket engine shares netsim.RunRounds, so a failure rate that is not
+// a probability fails the session before any frame is sent — exactly as on
+// the in-memory engine — and the engine still closes cleanly.
+func TestBadRateRejectedOverTCP(t *testing.T) {
+	e, err := New(fullMesh(3), netsim.Options{DropRate: 1.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := chatterNodes(3, 2)
+	st, err := e.Run(nodes)
+	if !errors.Is(err, netsim.ErrBadRate) {
+		t.Errorf("Run: err = %v, want netsim.ErrBadRate", err)
+	}
+	if st != (netsim.Stats{}) || nodes[0].(*chatterNode).stepped != 0 {
+		t.Errorf("session started: stats %+v", st)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	assertNoEngineGoroutines(t)
+}
+
 // sabotageNode crashes its own process mid-round: at step `at` it tears
 // down its connection, so the coordinator's round trip fails while the
 // session is in flight.
