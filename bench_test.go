@@ -224,6 +224,25 @@ func BenchmarkOnlineRun(b *testing.B) {
 	}
 }
 
+// BenchmarkOnlineFleet runs the distributed online algorithm at C=1 on
+// the seed-1 clustered 10⁴-task fleet (1250 chargers, 13 arrival-
+// triggered renegotiations) — the scale at which per-agent state built
+// from every known task, rather than the charger's coverage row, shows.
+func BenchmarkOnlineFleet(b *testing.B) {
+	in := workload.FleetScale(10_000).Generate(rand.New(rand.NewSource(1)))
+	p, err := core.NewProblem(in)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := online.Run(p, online.Options{Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkOptSolveSmallScale(b *testing.B) {
 	cfg := haste.SmallScaleWorkload()
 	in := cfg.Generate(rand.New(rand.NewSource(3)))

@@ -113,9 +113,9 @@ type Options struct {
 	MaxRounds int
 }
 
-// checkRates returns ErrBadRate, naming the field, for the first failure
+// CheckRates returns ErrBadRate, naming the field, for the first failure
 // rate that is not a probability (non-finite or outside [0, 1]).
-func (o Options) checkRates() error {
+func (o Options) CheckRates() error {
 	for _, r := range []struct {
 		name string
 		v    float64
@@ -253,7 +253,7 @@ func RunRounds(neighbors [][]int, opt Options, step StepFunc) (Stats, error) {
 	if downRounds <= 0 {
 		downRounds = 2
 	}
-	if err := opt.checkRates(); err != nil {
+	if err := opt.CheckRates(); err != nil {
 		return Stats{}, err
 	}
 	if opt.failureInjection() && opt.Rng == nil {

@@ -112,11 +112,14 @@ type agent struct {
 	neighbors   []int // session-topology neighbors, for the ack ledger
 
 	policies []dominant.Policy // Γ_i over the tasks this agent knows
-	known    []bool            // known[j]: task j has arrived (agent may plan for it)
 
-	// energy[s][j]: sample s's view of task j's accumulated energy, built
-	// from this agent's own commitments and neighbors' UPD messages plus
-	// the locked-prefix baseline. Only tasks in T_i are ever read.
+	// row is this charger's compiled sparse row (Problem.ChargerRow): its
+	// chargeable tasks T_i, ascending by task ID.
+	row []core.CoverEntry
+	// energy[s][l]: sample s's view of the accumulated energy of task
+	// row[l].Task, built from this agent's own commitments and neighbors'
+	// UPD messages plus the locked-prefix baseline. Tasks outside T_i are
+	// never read, so the view holds only the row.
 	energy [][]float64
 
 	// q[k][c]: committed policy index into policies, -1 if none.
@@ -141,27 +144,32 @@ type agent struct {
 	updSeq      uint32 // sequence number of my last commit
 	retransmits int64  // UPD re-broadcasts sent
 
-	// sessionCovers[pol] lists (task, per-slot energy) for the tasks of
-	// policy pol that are active in the session slot — precomputed once
-	// per session so the per-round rebids only walk live tasks.
+	// sessionCovers[pol] lists (task, row position, per-slot energy) for
+	// the tasks of policy pol that are active in the session slot —
+	// precomputed once per session so the per-round rebids only walk
+	// live tasks.
 	sessionCovers [][]taskEnergy
 	// sessionSamples lists the samples whose color for (id, slot) equals
 	// the session color.
 	sessionSamples []int
+	// commitBuf is applyCommit's scratch list of the covers it folds in.
+	commitBuf []taskEnergy
 }
 
-// taskEnergy pairs a task ID with the energy it harvests from this agent
-// per fully covered slot.
+// taskEnergy pairs a task ID and its position in this agent's row with
+// the energy it harvests per fully covered slot.
 type taskEnergy struct {
 	task int
+	pos  int
 	de   float64
 }
 
-// newAgent builds an agent with the given locked-prefix baseline energies
-// (shared across samples: the locked past does not depend on colors).
-// neighbors is the agent's row of the session topology, used by the
-// reliability layer's ack ledger.
-func newAgent(id int, p *core.Problem, opt Options, knownIDs []int, baseline []float64, neighbors []int) *agent {
+// newAgent builds an agent over the known tasks of its charger's row
+// (isKnown is the negotiation's shared known-task mask) with the given
+// locked-prefix baseline energies (shared across samples: the locked
+// past does not depend on colors). neighbors is the agent's row of the
+// session topology, used by the reliability layer's ack ledger.
+func newAgent(id int, p *core.Problem, opt Options, isKnown []bool, baseline []float64, neighbors []int) *agent {
 	a := &agent{
 		id:          id,
 		p:           p,
@@ -171,18 +179,35 @@ func newAgent(id int, p *core.Problem, opt Options, knownIDs []int, baseline []f
 		reliable:    opt.Reliable,
 		retryBudget: opt.RetryBudget,
 		neighbors:   neighbors,
-		known:       make([]bool, len(p.In.Tasks)),
+		row:         p.ChargerRow(id),
 		q:           make(map[int][]int),
 	}
-	for _, j := range knownIDs {
-		a.known[j] = true
-	}
-	a.policies = dominant.ExtractSubset(p.In, id, knownIDs)
+	a.policies = dominant.ExtractSubset(p.In, id, knownRowTasks(a.row, isKnown))
+	n := len(a.row)
+	views := make([]float64, a.samples*n)
 	a.energy = make([][]float64, a.samples)
 	for s := range a.energy {
-		a.energy[s] = append([]float64(nil), baseline...)
+		a.energy[s] = views[s*n : (s+1)*n]
+		for l, ent := range a.row {
+			a.energy[s][l] = baseline[ent.Task]
+		}
 	}
 	return a
+}
+
+// knownRowTasks returns the IDs of the known tasks in a charger's row,
+// ascending. The row holds exactly the chargeable tasks, so this is the
+// candidate list a Chargeable scan of every known task would filter down
+// to, in the same order — and dominant extraction over it yields the
+// same policies.
+func knownRowTasks(row []core.CoverEntry, isKnown []bool) []int {
+	var ids []int
+	for _, ent := range row {
+		if isKnown[ent.Task] {
+			ids = append(ids, int(ent.Task))
+		}
+	}
+	return ids
 }
 
 // startSession arms the agent for the (slot, color) negotiation.
@@ -204,7 +229,7 @@ func (a *agent) startSession(slot, color int) {
 	// Every cover is chargeable by this agent and therefore present in its
 	// sparse row; both lists are ascending, so a two-pointer merge replaces
 	// a binary search per cover.
-	row := a.p.ChargerRow(a.id)
+	row := a.row
 	for pol := range a.policies {
 		a.sessionCovers[pol] = a.sessionCovers[pol][:0]
 		if a.policies[pol].Idle {
@@ -223,7 +248,7 @@ func (a *agent) startSession(slot, color int) {
 			}
 			t := &a.p.In.Tasks[j]
 			if de := row[r].De; de > 0 && t.ActiveAt(slot) {
-				a.sessionCovers[pol] = append(a.sessionCovers[pol], taskEnergy{j, de})
+				a.sessionCovers[pol] = append(a.sessionCovers[pol], taskEnergy{j, r, de})
 			}
 		}
 	}
@@ -261,25 +286,45 @@ func (a *agent) policyGain(pol int) float64 {
 			// WeightedDelta inlines the default linear-bounded utility
 			// (bit-identical to the interface expression) when the flat
 			// kernel is active, and falls back to it otherwise.
-			gain += a.p.WeightedDelta(te.task, energy[te.task], te.de)
+			gain += a.p.WeightedDelta(te.task, energy[te.pos], te.de)
 		}
 	}
 	return gain
 }
 
 // applyCommit folds a committed policy (by charger `from`, covering
-// `covers`) into the matching samples of the local energy view.
+// `covers`) into the matching samples of the local energy view. Only the
+// covers in this agent's row are kept; their energy is read off from's
+// row. covers and both rows are ascending, so two two-pointer merges
+// find them.
 func (a *agent) applyCommit(from int, covers []int, slot, color int) {
-	k := slot
-	for s := 0; s < a.samples; s++ {
-		if colorAt(a.seed, s, from, k, a.colors) != color {
+	row, fromRow := a.row, a.p.ChargerRow(from)
+	a.commitBuf = a.commitBuf[:0]
+	r, f := 0, 0
+	for _, j := range covers {
+		for r < len(row) && int(row[r].Task) < j {
+			r++
+		}
+		if r == len(row) {
+			break
+		}
+		if int(row[r].Task) != j || !a.p.In.Tasks[j].ActiveAt(slot) {
 			continue
 		}
-		for _, j := range covers {
-			t := &a.p.In.Tasks[j]
-			if t.ActiveAt(k) {
-				a.energy[s][j] += a.p.SlotEnergy(from, j)
-			}
+		for f < len(fromRow) && int(fromRow[f].Task) < j {
+			f++
+		}
+		if f < len(fromRow) && int(fromRow[f].Task) == j {
+			a.commitBuf = append(a.commitBuf, taskEnergy{j, r, fromRow[f].De})
+		}
+	}
+	for s := 0; s < a.samples; s++ {
+		if colorAt(a.seed, s, from, slot, a.colors) != color {
+			continue
+		}
+		energy := a.energy[s]
+		for _, te := range a.commitBuf {
+			energy[te.pos] += te.de
 		}
 	}
 }
@@ -481,6 +526,8 @@ func (a *agent) commitOwn() {
 // finalPlan samples one color per slot (lines 22–24 of Algorithm 3) and
 // returns the agent's orientation commands for slots [from, to).
 // Unassigned slots are NaN (keep the previous physical orientation).
+// rng is drawn only when there is a color to choose (C > 1) and may be
+// nil otherwise.
 func (a *agent) finalPlan(from, to int, rng *rand.Rand) []float64 {
 	plan := make([]float64, to-from)
 	slots := make([]int, 0, len(a.q))
@@ -495,7 +542,10 @@ func (a *agent) finalPlan(from, to int, rng *rand.Rand) []float64 {
 		if k < from || k >= to {
 			continue
 		}
-		c := rng.Intn(a.colors)
+		c := 0
+		if a.colors > 1 {
+			c = rng.Intn(a.colors)
+		}
 		if pol := a.q[k][c]; pol >= 0 {
 			plan[k-from] = a.policies[pol].Orientation
 		}

@@ -1,6 +1,7 @@
 package online
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -61,9 +62,9 @@ func TestNeighborEnergyViewsAgree(t *testing.T) {
 						if p.SlotEnergy(i, j) == 0 || p.SlotEnergy(nb, j) == 0 {
 							continue
 						}
-						if math.Abs(a.energy[s][j]-b.energy[s][j]) > 1e-9 {
+						if math.Abs(a.energyOf(s, j)-b.energyOf(s, j)) > 1e-9 {
 							t.Fatalf("C=%d: agents %d and %d disagree on task %d sample %d: %v vs %v",
-								colors, i, nb, j, s, a.energy[s][j], b.energy[s][j])
+								colors, i, nb, j, s, a.energyOf(s, j), b.energyOf(s, j))
 						}
 					}
 				}
@@ -112,9 +113,9 @@ func TestAgentViewsMatchGlobalRecomputation(t *testing.T) {
 					if p.SlotEnergy(i, j) == 0 {
 						continue // agent cannot observe this task
 					}
-					if math.Abs(a.energy[s][j]-truth[s][j]) > 1e-9 {
+					if math.Abs(a.energyOf(s, j)-truth[s][j]) > 1e-9 {
 						t.Fatalf("C=%d: agent %d task %d sample %d: local %v != global %v",
-							colors, i, j, s, a.energy[s][j], truth[s][j])
+							colors, i, j, s, a.energyOf(s, j), truth[s][j])
 					}
 				}
 			}
@@ -141,6 +142,18 @@ func TestAgentsRespectPartitionMatroid(t *testing.T) {
 			}
 		}
 	}
+}
+
+// energyOf reads sample s's view of task j through the agent's row-local
+// energy view. The agent holds no view of a task outside its row, so
+// asking for one is a test bug.
+func (a *agent) energyOf(s, j int) float64 {
+	for l, ent := range a.row {
+		if int(ent.Task) == j {
+			return a.energy[s][l]
+		}
+	}
+	panic(fmt.Sprintf("agent %d has no view of task %d outside its row", a.id, j))
 }
 
 func allIDs(p *core.Problem) []int {

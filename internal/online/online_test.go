@@ -1,6 +1,7 @@
 package online
 
 import (
+	"errors"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -10,6 +11,7 @@ import (
 	"haste/internal/core"
 	"haste/internal/geom"
 	"haste/internal/model"
+	"haste/internal/netsim"
 	"haste/internal/opt"
 	"haste/internal/sim"
 	"haste/internal/workload"
@@ -385,5 +387,49 @@ func TestKnownNeighborsLocality(t *testing.T) {
 	nb = knownNeighbors(p, []int{0})
 	if len(nb[2]) != 0 || len(nb[3]) != 0 {
 		t.Fatalf("right cluster should be isolated: %v", nb)
+	}
+}
+
+// A failure rate that is not a probability fails Run up front, whether or
+// not any negotiation session would start. The never-negotiating
+// instance's only task is out of its charger's reach, so nobody ever bids
+// and no session reaches netsim, which used to be the only place the
+// rates were checked: such a run accepted a bad rate silently.
+func TestRunRejectsBadRates(t *testing.T) {
+	never := singleTaskInstance()
+	never.Tasks[0].Pos = geom.Point{X: 100, Y: 0} // beyond Radius 20
+	instances := []struct {
+		name string
+		p    *core.Problem
+	}{
+		{"negotiating", mustProblem(t, singleTaskInstance())},
+		{"never-negotiating", mustProblem(t, never)},
+	}
+	if res := mustRun(t, instances[1].p, Options{Seed: 1}); res.Stats.Net.Rounds != 0 {
+		t.Fatalf("never-negotiating instance ran %d rounds", res.Stats.Net.Rounds)
+	}
+	set := map[string]func(*Options, float64){
+		"DropRate":  func(o *Options, v float64) { o.DropRate = v },
+		"DupRate":   func(o *Options, v float64) { o.DupRate = v },
+		"DelayRate": func(o *Options, v float64) { o.DelayRate = v },
+		"CrashRate": func(o *Options, v float64) { o.CrashRate = v },
+	}
+	for _, inst := range instances {
+		for field, setRate := range set {
+			for _, v := range []float64{-1, math.NaN(), math.Inf(1), 1.5} {
+				opt := Options{Seed: 1}
+				setRate(&opt, v)
+				if _, err := Run(inst.p, opt); !errors.Is(err, netsim.ErrBadRate) {
+					t.Errorf("%s: %s = %v: err = %v, want netsim.ErrBadRate", inst.name, field, v, err)
+				}
+			}
+			for _, v := range []float64{0, 1} {
+				opt := Options{Seed: 1}
+				setRate(&opt, v)
+				if _, err := Run(inst.p, opt); err != nil {
+					t.Errorf("%s: %s = %v is a probability but Run failed: %v", inst.name, field, v, err)
+				}
+			}
+		}
 	}
 }

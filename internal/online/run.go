@@ -25,8 +25,8 @@ type Options struct {
 	// DropRate / DupRate inject message loss and duplication into the
 	// negotiation (see package netsim). The protocol degrades gracefully:
 	// sessions still terminate, utility may drop. Every rate must be a
-	// probability in [0, 1]; a negotiation fails with netsim.ErrBadRate
-	// otherwise.
+	// probability in [0, 1]; Run fails with netsim.ErrBadRate otherwise,
+	// whether or not any negotiation would start.
 	DropRate, DupRate float64
 	// DelayRate / CrashRate inject bounded message delay (with reordering)
 	// and node crash/restart outages (see package netsim).
@@ -71,6 +71,18 @@ func (o Options) normalize() Options {
 // failureInjection reports whether any netsim failure mode is requested.
 func (o Options) failureInjection() bool {
 	return o.DropRate > 0 || o.DupRate > 0 || o.DelayRate > 0 || o.CrashRate > 0
+}
+
+// netOptions carries the failure-injection knobs into the substrate's
+// options (without the per-negotiation Rng).
+func (o Options) netOptions() netsim.Options {
+	return netsim.Options{
+		DropRate:  o.DropRate,
+		DupRate:   o.DupRate,
+		DelayRate: o.DelayRate,
+		CrashRate: o.CrashRate,
+		MaxRounds: o.MaxRounds,
+	}
 }
 
 // NegotiationStats describes one arrival-triggered renegotiation.
@@ -130,12 +142,17 @@ type Result struct {
 // resulting plan is executed physically with switching delays. See the
 // package comment for the protocol.
 //
-// With the default in-memory substrate Run cannot fail; a non-nil error
-// reports a broken Options.Driver substrate (listen/dial failure, a link
-// dying mid-session, coordinator cancellation) — injected message loss is
-// never an error, it is degradation accounted in Stats.
+// A failure rate that is not a probability fails Run up front with
+// netsim.ErrBadRate. Otherwise, with the default in-memory substrate Run
+// cannot fail; a non-nil error reports a broken Options.Driver substrate
+// (listen/dial failure, a link dying mid-session, coordinator
+// cancellation) — injected message loss is never an error, it is
+// degradation accounted in Stats.
 func Run(p *core.Problem, opt Options) (Result, error) {
 	opt = opt.normalize()
+	if err := opt.netOptions().CheckRates(); err != nil {
+		return Result{}, fmt.Errorf("online: %w", err)
+	}
 	in := p.In
 	n := len(in.Chargers)
 	tau := in.Params.Tau
@@ -228,22 +245,20 @@ func negotiate(p *core.Problem, opt Options, known []int, orient [][]float64, no
 	in := p.In
 	n := len(in.Chargers)
 
-	baseline := perceivedEnergies(p, orient, known, lockUntil)
+	isKnown := make([]bool, len(in.Tasks))
+	for _, j := range known {
+		isKnown[j] = true
+	}
+	baseline := perceivedEnergies(p, orient, isKnown, lockUntil)
 	neighbors := knownNeighbors(p, known)
 	agents := make([]*agent, n)
 	nodes := make([]netsim.Node, n)
 	for i := 0; i < n; i++ {
-		agents[i] = newAgent(i, p, opt, known, baseline, neighbors[i])
+		agents[i] = newAgent(i, p, opt, isKnown, baseline, neighbors[i])
 		nodes[i] = agents[i]
 	}
 
-	nopt := netsim.Options{
-		DropRate:  opt.DropRate,
-		DupRate:   opt.DupRate,
-		DelayRate: opt.DelayRate,
-		CrashRate: opt.CrashRate,
-		MaxRounds: opt.MaxRounds,
-	}
+	nopt := opt.netOptions()
 	if opt.failureInjection() {
 		nopt.Rng = rand.New(rand.NewSource(opt.Seed ^ int64(now)<<20))
 	}
@@ -312,7 +327,13 @@ func negotiate(p *core.Problem, opt Options, known []int, orient [][]float64, no
 	out.agents = agents
 	out.plans = make([][]float64, n)
 	for i, a := range agents {
-		rng := rand.New(rand.NewSource(opt.Seed ^ int64(now)<<24 ^ int64(i)<<8))
+		// Each agent owns its color-sampling source, so seeding only the
+		// ones that draw (C > 1 and at least one committed slot) leaves
+		// every other agent's draws unchanged.
+		var rng *rand.Rand
+		if opt.Colors > 1 && len(a.q) > 0 {
+			rng = rand.New(rand.NewSource(opt.Seed ^ int64(now)<<24 ^ int64(i)<<8))
+		}
 		out.plans[i] = a.finalPlan(lockUntil, maxEnd, rng)
 	}
 	return out, nil
@@ -322,16 +343,12 @@ func negotiate(p *core.Problem, opt Options, known []int, orient [][]float64, no
 // energy each known task has harvested from the committed orientation
 // timeline during slots [0, upTo) — the baseline every agent starts its
 // local view from. Unknown tasks stay at zero: no agent can plan around
-// energy it does not know was delivered.
-func perceivedEnergies(p *core.Problem, orient [][]float64, known []int, upTo int) []float64 {
+// energy it does not know was delivered. isKnown[j] marks the known tasks.
+func perceivedEnergies(p *core.Problem, orient [][]float64, isKnown []bool, upTo int) []float64 {
 	in := p.In
 	e := make([]float64, len(in.Tasks))
 	if upTo > p.K {
 		upTo = p.K
-	}
-	isKnown := make([]bool, len(in.Tasks))
-	for _, j := range known {
-		isKnown[j] = true
 	}
 	for i := range in.Chargers {
 		// Only this charger's chargeable known tasks can ever receive
