@@ -116,8 +116,10 @@ func evalCmd(args []string) error {
 		Shard: shardMode, Trace: tr,
 	})
 	addOffline(fmt.Sprintf("HASTE offline C=%d", *colors), rc.Schedule, rc.RUtility)
-	addOffline("GreedyUtility", baseline.GreedyUtility(p), core.Evaluate(p, baseline.GreedyUtility(p)))
-	addOffline("GreedyCover", baseline.GreedyCover(p), core.Evaluate(p, baseline.GreedyCover(p)))
+	gu := baseline.GreedyUtility(p)
+	addOffline("GreedyUtility", gu, core.Evaluate(p, gu))
+	gc := baseline.GreedyCover(p)
+	addOffline("GreedyCover", gc, core.Evaluate(p, gc))
 
 	on, err := online.Run(p, online.Options{Colors: 1, Seed: *seed})
 	if err != nil {

@@ -14,6 +14,7 @@
 package dominant
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -83,7 +84,7 @@ func ExtractSubset(in *model.Instance, chargerID int, taskIDs []int) []Policy {
 	p := in.Params
 
 	// T_i: chargeable tasks among the candidates (Algorithm 1, line 1).
-	var arcs []arcTask
+	arcs := make([]arcTask, 0, len(taskIDs))
 	for _, id := range taskIDs {
 		t := in.Tasks[id]
 		if !p.Chargeable(c, t) {
@@ -106,7 +107,7 @@ func ExtractSubset(in *model.Instance, chargerID int, taskIDs []int) []Policy {
 	// angle, so each inclusion-maximal set is attained at one of them.
 	// Full-circle arcs contribute no events; if all arcs are full, any
 	// orientation works.
-	var candidates []float64
+	candidates := make([]float64, 0, len(arcs))
 	for _, a := range arcs {
 		if !a.arc.Full() {
 			candidates = append(candidates, a.arc.Lo)
@@ -116,26 +117,37 @@ func ExtractSubset(in *model.Instance, chargerID int, taskIDs []int) []Policy {
 		candidates = []float64{0}
 	}
 
-	seen := make(map[string]Policy)
+	// Distinct covered sets in first-seen order, deduplicated by an
+	// injective byte key; the first candidate attaining a set decides its
+	// representative orientation.
+	var all []Policy
+	seen := make(map[string]struct{}, len(candidates))
+	key := make([]byte, 0, 8*len(arcs))
+	buf := make([]int, 0, len(arcs))        // covered IDs at theta
+	within := make([]arcTask, 0, len(arcs)) // the arcs containing theta
 	for _, theta := range candidates {
-		var covers []int
+		buf, within = buf[:0], within[:0]
 		for _, a := range arcs {
 			if a.arc.Contains(theta) {
-				covers = append(covers, a.id)
+				buf = append(buf, a.id)
+				within = append(within, a)
 			}
 		}
-		sort.Ints(covers)
-		key := setKey(covers)
-		if _, ok := seen[key]; !ok {
-			seen[key] = Policy{Orientation: centerOrientation(theta, covers, arcs), Covers: covers}
+		sort.Ints(buf)
+		key = key[:0]
+		for _, id := range buf {
+			key = binary.LittleEndian.AppendUint64(key, uint64(id))
 		}
+		if _, ok := seen[string(key)]; ok {
+			continue
+		}
+		seen[string(key)] = struct{}{}
+		covers := append([]int(nil), buf...)
+		all = append(all, Policy{Orientation: centerOrientation(theta, within), Covers: covers})
 	}
 
-	// Keep only maximal sets (Definition 4.1).
-	all := make([]Policy, 0, len(seen))
-	for _, pol := range seen {
-		all = append(all, pol)
-	}
+	// Keep only maximal sets (Definition 4.1). out outlives the call (Γ
+	// is cached), so it is not sized to the candidate sets.
 	var out []Policy
 	for i, a := range all {
 		maximal := true
@@ -159,17 +171,13 @@ func ExtractSubset(in *model.Instance, chargerID int, taskIDs []int) []Policy {
 }
 
 // centerOrientation recenters a feasible orientation inside the
-// intersection of the covering arcs of the covered set, to keep the
-// representative orientation away from razor-edge boundaries. theta must
-// already cover every task in covers.
-func centerOrientation(theta float64, covers []int, arcs []arcTask) float64 {
-	inSet := make(map[int]bool, len(covers))
-	for _, id := range covers {
-		inSet[id] = true
-	}
+// intersection of the covering arcs, to keep the representative
+// orientation away from razor-edge boundaries. within holds the arcs
+// containing theta — those of exactly the covered set.
+func centerOrientation(theta float64, within []arcTask) float64 {
 	fwd, bwd := geom.TwoPi, geom.TwoPi
-	for _, a := range arcs {
-		if !inSet[a.id] || a.arc.Full() {
+	for _, a := range within {
+		if a.arc.Full() {
 			continue
 		}
 		f := geom.NormalizeAngle(a.arc.Lo + a.arc.Width - theta) // slack counterclockwise
@@ -201,7 +209,7 @@ func strictSubset(a, b []int) bool {
 	return i == len(a)
 }
 
-// setKey builds a canonical map key for a sorted ID set.
+// setKey orders distinct sets of equal orientation in Γ.
 func setKey(ids []int) string {
 	return fmt.Sprint(ids)
 }

@@ -372,6 +372,9 @@ func RunRounds(neighbors [][]int, opt Options, step StepFunc) (Stats, error) {
 			}
 		}
 		for i := range inboxes {
+			if len(inboxes[i]) < 2 {
+				continue // nothing to order: most inboxes of a sparse topology
+			}
 			sort.SliceStable(inboxes[i], func(a, b int) bool {
 				return inboxes[i][a].From < inboxes[i][b].From
 			})

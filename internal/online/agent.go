@@ -112,6 +112,10 @@ type agent struct {
 	neighbors   []int // session-topology neighbors, for the ack ledger
 
 	policies []dominant.Policy // Γ_i over the tasks this agent knows
+	// covers[pol] lists policy pol's covers with positive slot energy,
+	// resolved to row positions. It is the run state's cached list,
+	// shared across negotiations and read-only here.
+	covers [][]windowedCover
 
 	// row is this charger's compiled sparse row (Problem.ChargerRow): its
 	// chargeable tasks T_i, ascending by task ID.
@@ -146,8 +150,8 @@ type agent struct {
 
 	// sessionCovers[pol] lists (task, row position, per-slot energy) for
 	// the tasks of policy pol that are active in the session slot —
-	// precomputed once per session so the per-round rebids only walk
-	// live tasks.
+	// filtered from covers once per session so the per-round rebids only
+	// walk live tasks.
 	sessionCovers [][]taskEnergy
 	// sessionSamples lists the samples whose color for (id, slot) equals
 	// the session color.
@@ -159,17 +163,23 @@ type agent struct {
 // taskEnergy pairs a task ID and its position in this agent's row with
 // the energy it harvests per fully covered slot.
 type taskEnergy struct {
-	task int
-	pos  int
-	de   float64
+	task, pos int32
+	de        float64
 }
 
-// newAgent builds an agent over the known tasks of its charger's row
-// (isKnown is the negotiation's shared known-task mask) with the given
-// locked-prefix baseline energies (shared across samples: the locked
-// past does not depend on colors). neighbors is the agent's row of the
-// session topology, used by the reliability layer's ack ledger.
-func newAgent(id int, p *core.Problem, opt Options, isKnown []bool, baseline []float64, neighbors []int) *agent {
+// windowedCover is a cached cover entry with its task's activity window
+// [release, end), so a session filters it without reading the task.
+type windowedCover struct {
+	taskEnergy
+	release, end int32
+}
+
+// newAgent builds an agent over Γ (policies and their row-resolved
+// covers, from the run state) with the given locked-prefix baseline
+// energies (shared across samples: the locked past does not depend on
+// colors). neighbors is the agent's row of the session topology, used by
+// the reliability layer's ack ledger.
+func newAgent(id int, p *core.Problem, opt Options, g *chargerGamma, baseline []float64, neighbors []int) *agent {
 	a := &agent{
 		id:          id,
 		p:           p,
@@ -179,10 +189,22 @@ func newAgent(id int, p *core.Problem, opt Options, isKnown []bool, baseline []f
 		reliable:    opt.Reliable,
 		retryBudget: opt.RetryBudget,
 		neighbors:   neighbors,
+		policies:    g.policies,
+		covers:      g.covers,
 		row:         p.ChargerRow(id),
 		q:           make(map[int][]int),
 	}
-	a.policies = dominant.ExtractSubset(p.In, id, knownRowTasks(a.row, isKnown))
+	// The session buffers share one arena, each capped at its policy's
+	// full cover list, so no session ever regrows one.
+	total := 0
+	for _, list := range a.covers {
+		total += len(list)
+	}
+	arena := make([]taskEnergy, total)
+	a.sessionCovers = make([][]taskEnergy, len(a.covers))
+	for pol, list := range a.covers {
+		a.sessionCovers[pol], arena = arena[:0:len(list)], arena[len(list):]
+	}
 	n := len(a.row)
 	views := make([]float64, a.samples*n)
 	a.energy = make([][]float64, a.samples)
@@ -193,21 +215,6 @@ func newAgent(id int, p *core.Problem, opt Options, isKnown []bool, baseline []f
 		}
 	}
 	return a
-}
-
-// knownRowTasks returns the IDs of the known tasks in a charger's row,
-// ascending. The row holds exactly the chargeable tasks, so this is the
-// candidate list a Chargeable scan of every known task would filter down
-// to, in the same order — and dominant extraction over it yields the
-// same policies.
-func knownRowTasks(row []core.CoverEntry, isKnown []bool) []int {
-	var ids []int
-	for _, ent := range row {
-		if isKnown[ent.Task] {
-			ids = append(ids, int(ent.Task))
-		}
-	}
-	return ids
 }
 
 // startSession arms the agent for the (slot, color) negotiation.
@@ -222,35 +229,15 @@ func (a *agent) startSession(slot, color int) {
 	a.retriesLeft = 0
 	a.myUpd = nil
 
-	if cap(a.sessionCovers) < len(a.policies) {
-		a.sessionCovers = make([][]taskEnergy, len(a.policies))
-	}
-	a.sessionCovers = a.sessionCovers[:len(a.policies)]
-	// Every cover is chargeable by this agent and therefore present in its
-	// sparse row; both lists are ascending, so a two-pointer merge replaces
-	// a binary search per cover.
-	row := a.row
-	for pol := range a.policies {
-		a.sessionCovers[pol] = a.sessionCovers[pol][:0]
-		if a.policies[pol].Idle {
-			continue
-		}
-		r := 0
-		for _, j := range a.policies[pol].Covers {
-			for r < len(row) && int(row[r].Task) < j {
-				r++
-			}
-			if r == len(row) {
-				break
-			}
-			if int(row[r].Task) != j {
-				continue
-			}
-			t := &a.p.In.Tasks[j]
-			if de := row[r].De; de > 0 && t.ActiveAt(slot) {
-				a.sessionCovers[pol] = append(a.sessionCovers[pol], taskEnergy{j, r, de})
+	k := int32(slot)
+	for pol, list := range a.covers {
+		buf := a.sessionCovers[pol][:0]
+		for _, wc := range list {
+			if wc.release <= k && k < wc.end {
+				buf = append(buf, wc.taskEnergy)
 			}
 		}
+		a.sessionCovers[pol] = buf
 	}
 	a.sessionSamples = a.sessionSamples[:0]
 	for s := 0; s < a.samples; s++ {
@@ -286,7 +273,7 @@ func (a *agent) policyGain(pol int) float64 {
 			// WeightedDelta inlines the default linear-bounded utility
 			// (bit-identical to the interface expression) when the flat
 			// kernel is active, and falls back to it otherwise.
-			gain += a.p.WeightedDelta(te.task, energy[te.pos], te.de)
+			gain += a.p.WeightedDelta(int(te.task), energy[te.pos], te.de)
 		}
 	}
 	return gain
@@ -315,7 +302,7 @@ func (a *agent) applyCommit(from int, covers []int, slot, color int) {
 			f++
 		}
 		if f < len(fromRow) && int(fromRow[f].Task) == j {
-			a.commitBuf = append(a.commitBuf, taskEnergy{j, r, fromRow[f].De})
+			a.commitBuf = append(a.commitBuf, taskEnergy{int32(j), int32(r), fromRow[f].De})
 		}
 	}
 	for s := 0; s < a.samples; s++ {

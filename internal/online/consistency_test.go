@@ -30,9 +30,9 @@ func negotiatedAgents(t *testing.T, seed int64, colors int) (*core.Problem, nego
 	if err != nil {
 		t.Fatal(err)
 	}
-	known := make([]int, len(in.Tasks))
-	for j := range known {
-		known[j] = j
+	isKnown := make([]bool, len(in.Tasks))
+	for j := range isKnown {
+		isKnown[j] = true
 	}
 	orient := make([][]float64, len(in.Chargers))
 	for i := range orient {
@@ -42,7 +42,7 @@ func negotiatedAgents(t *testing.T, seed int64, colors int) (*core.Problem, nego
 		}
 	}
 	opt := Options{Colors: colors, Seed: seed}.normalize()
-	neg, err := negotiate(p, opt, known, orient, 0, 0, p.K)
+	neg, err := negotiate(newRunState(p), opt, isKnown, orient, 0, 0, p.K)
 	if err != nil {
 		t.Fatalf("negotiate: %v", err)
 	}
@@ -154,6 +154,16 @@ func (a *agent) energyOf(s, j int) float64 {
 		}
 	}
 	panic(fmt.Sprintf("agent %d has no view of task %d outside its row", a.id, j))
+}
+
+// knownNeighbors adapts the run state's neighbor relation to a list of
+// known task IDs, on a fresh run state.
+func knownNeighbors(p *core.Problem, known []int) [][]int {
+	isKnown := make([]bool, len(p.In.Tasks))
+	for _, j := range known {
+		isKnown[j] = true
+	}
+	return newRunState(p).neighbors(isKnown)
 }
 
 func allIDs(p *core.Problem) []int {

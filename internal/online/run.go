@@ -8,6 +8,8 @@ import (
 	"sort"
 
 	"haste/internal/core"
+	"haste/internal/dominant"
+	"haste/internal/model"
 	"haste/internal/netsim"
 	"haste/internal/sim"
 )
@@ -149,6 +151,15 @@ type Result struct {
 // cancellation) — injected message loss is never an error, it is
 // degradation accounted in Stats.
 func Run(p *core.Problem, opt Options) (Result, error) {
+	return run(p, opt, nil)
+}
+
+// run is Run with an optional observer, called after every negotiation
+// with its outcome, the known-task mask and the orientation timeline it
+// was negotiated against (before its plan is installed). The white-box
+// tests use it to check the carried run state against from-scratch
+// derivations at every arrival.
+func run(p *core.Problem, opt Options, observe func(neg negotiation, isKnown []bool, orient [][]float64)) (Result, error) {
 	opt = opt.normalize()
 	if err := opt.netOptions().CheckRates(); err != nil {
 		return Result{}, fmt.Errorf("online: %w", err)
@@ -177,22 +188,17 @@ func Run(p *core.Problem, opt Options) (Result, error) {
 	}
 	sort.Ints(slots)
 
+	rs := newRunState(p)
 	var stats Stats
-	var known []int
+	isKnown := make([]bool, len(in.Tasks))
+	maxEnd := 0
 	for _, t := range slots {
-		known = append(known, arrivals[t]...)
-		sort.Ints(known)
+		for _, j := range arrivals[t] {
+			isKnown[j] = true
+			maxEnd = max(maxEnd, in.Tasks[j].End)
+		}
 
-		lockUntil := t + tau
-		if lockUntil > K {
-			lockUntil = K
-		}
-		maxEnd := 0
-		for _, j := range known {
-			if in.Tasks[j].End > maxEnd {
-				maxEnd = in.Tasks[j].End
-			}
-		}
+		lockUntil := min(t+tau, K)
 		if maxEnd <= lockUntil {
 			stats.Negotiations = append(stats.Negotiations, NegotiationStats{
 				Slot: t, NewTasks: len(arrivals[t]),
@@ -200,12 +206,15 @@ func Run(p *core.Problem, opt Options) (Result, error) {
 			continue
 		}
 
-		neg, err := negotiate(p, opt, known, orient, t, lockUntil, maxEnd)
+		neg, err := negotiate(rs, opt, isKnown, orient, t, lockUntil, maxEnd)
 		if err != nil {
 			return Result{}, fmt.Errorf("online: negotiation at slot %d: %w", t, err)
 		}
 		neg.Slot = t
 		neg.NewTasks = len(arrivals[t])
+		if observe != nil {
+			observe(neg, isKnown, orient)
+		}
 		stats.Negotiations = append(stats.Negotiations, neg.NegotiationStats)
 		stats.Net.Add(neg.net)
 		stats.NonQuiescentSessions += neg.nonQuiescent
@@ -233,28 +242,28 @@ type negotiation struct {
 	unackedCommits int         // commits whose ack ledger was non-empty at session end
 	retransmits    int64       // reliability-layer UPD re-broadcasts
 	plans          [][]float64 // per charger, orientation commands for [lockUntil, maxEnd)
-	agents         []*agent    // retained for white-box consistency tests
+	// baseline and agents are retained for the white-box tests.
+	baseline []float64
+	agents   []*agent
 }
 
 // negotiate runs the full Algorithm 3 loop (slots outer, colors inner)
-// over the network of agents and returns their sampled plans. The
+// over the network of agents and returns their sampled plans. isKnown
+// marks the tasks that have arrived. rs is the run's carried state:
+// within one run, isKnown only grows and lockUntil never decreases. The
 // substrate (in-memory engine or a real-socket driver from opt.Driver) is
 // built once per negotiation and torn down before returning; only
 // substrate failures are errors — non-quiescence is degradation.
-func negotiate(p *core.Problem, opt Options, known []int, orient [][]float64, now, lockUntil, maxEnd int) (negotiation, error) {
-	in := p.In
-	n := len(in.Chargers)
+func negotiate(rs *runState, opt Options, isKnown []bool, orient [][]float64, now, lockUntil, maxEnd int) (negotiation, error) {
+	p := rs.p
+	n := len(p.In.Chargers)
 
-	isKnown := make([]bool, len(in.Tasks))
-	for _, j := range known {
-		isKnown[j] = true
-	}
-	baseline := perceivedEnergies(p, orient, isKnown, lockUntil)
-	neighbors := knownNeighbors(p, known)
+	baseline := rs.perceivedEnergies(orient, isKnown, lockUntil)
+	neighbors := rs.neighbors(isKnown)
 	agents := make([]*agent, n)
 	nodes := make([]netsim.Node, n)
 	for i := 0; i < n; i++ {
-		agents[i] = newAgent(i, p, opt, isKnown, baseline, neighbors[i])
+		agents[i] = newAgent(i, p, opt, rs.gamma(i, isKnown), baseline, neighbors[i])
 		nodes[i] = agents[i]
 	}
 
@@ -324,7 +333,7 @@ func negotiate(p *core.Problem, opt Options, known []int, orient [][]float64, no
 	for _, a := range agents {
 		out.retransmits += a.retransmits
 	}
-	out.agents = agents
+	out.baseline, out.agents = baseline, agents
 	out.plans = make([][]float64, n)
 	for i, a := range agents {
 		// Each agent owns its color-sampling source, so seeding only the
@@ -339,85 +348,216 @@ func negotiate(p *core.Problem, opt Options, known []int, orient [][]float64, no
 	return out, nil
 }
 
-// perceivedEnergies computes, with relaxed (full-slot) accounting, the
+// runState is the per-charger state one Run carries across its
+// arrival-triggered negotiations, instead of re-deriving it at each one.
+// It relies on two monotonicities of a run: the known task set only
+// grows, and lockUntil never decreases — so the orientations of the
+// slots before a negotiation's lockUntil are final (every later
+// negotiation writes only from its own lockUntil on). Everything it holds
+// is O(row entries).
+type runState struct {
+	p *core.Problem
+	// coversByTask[j] lists the chargers that can deliver energy to task
+	// j (De > 0), ascending; the sparse rows inverted once per run.
+	coversByTask [][]int
+	// gammas[i] is charger i's cached Γ over its known row tasks.
+	gammas []chargerGamma
+	// cnt[i][l] counts the slots in [0, done) in which charger i's
+	// committed orientation covered task row[l].Task while it was active
+	// (entries with De > 0 only); cur[i] is the orientation in force at
+	// slot done (NaN until the charger's first command).
+	cnt  [][]int32
+	cur  []float64
+	done int
+}
+
+// chargerGamma is one charger's Γ over the known tasks of its row,
+// extracted when nKnown of them were known.
+type chargerGamma struct {
+	nKnown   int // -1 until the first extraction
+	policies []dominant.Policy
+	// covers[pol] is policy pol's cover list restricted to De > 0 and
+	// resolved to row positions; nil for the Idle policy.
+	covers [][]windowedCover
+}
+
+func newRunState(p *core.Problem) *runState {
+	n := len(p.In.Chargers)
+	rs := &runState{
+		p:            p,
+		coversByTask: make([][]int, len(p.In.Tasks)),
+		gammas:       make([]chargerGamma, n),
+		cnt:          make([][]int32, n),
+		cur:          make([]float64, n),
+	}
+	entries := 0
+	for i := 0; i < n; i++ {
+		entries += len(p.ChargerRow(i))
+	}
+	arena := make([]int32, entries)
+	for i := 0; i < n; i++ {
+		row := p.ChargerRow(i)
+		rs.cnt[i], arena = arena[:len(row):len(row)], arena[len(row):]
+		for _, ent := range row {
+			if ent.De > 0 {
+				rs.coversByTask[ent.Task] = append(rs.coversByTask[ent.Task], i)
+			}
+		}
+		rs.gammas[i].nKnown = -1
+		rs.cur[i] = math.NaN()
+	}
+	return rs
+}
+
+// gamma returns charger i's Γ over its known row tasks. The known set
+// only grows within a run, so an unchanged count of known row tasks is an
+// unchanged subset and the cached policies stand; a fully known row is
+// exactly the compiled p.Gamma[i] (extracted from the same row candidate
+// list). Only a changed, partial row is re-extracted.
+func (rs *runState) gamma(i int, isKnown []bool) *chargerGamma {
+	p := rs.p
+	row := p.ChargerRow(i)
+	nKnown := 0
+	for _, ent := range row {
+		if isKnown[ent.Task] {
+			nKnown++
+		}
+	}
+	g := &rs.gammas[i]
+	if g.nKnown == nKnown {
+		return g
+	}
+	g.nKnown = nKnown
+	if nKnown == len(row) {
+		g.policies = p.Gamma[i]
+	} else {
+		g.policies = dominant.ExtractSubset(p.In, i, knownRowTasks(row, isKnown))
+	}
+	g.covers = resolveCovers(p.In.Tasks, row, g.policies)
+	return g
+}
+
+// knownRowTasks returns the IDs of the known tasks in a charger's row,
+// ascending. The row holds exactly the chargeable tasks, so this is the
+// candidate list a Chargeable scan of every known task would filter down
+// to, in the same order — and dominant extraction over it yields the
+// same policies.
+func knownRowTasks(row []core.CoverEntry, isKnown []bool) []int {
+	var ids []int
+	for _, ent := range row {
+		if isKnown[ent.Task] {
+			ids = append(ids, int(ent.Task))
+		}
+	}
+	return ids
+}
+
+// resolveCovers maps every policy's covers with positive slot energy to
+// their row positions and task windows. Every cover is chargeable and
+// therefore in the row; both lists are ascending, so a two-pointer merge
+// finds them.
+func resolveCovers(tasks []model.Task, row []core.CoverEntry, policies []dominant.Policy) [][]windowedCover {
+	// One arena sized to every cover: the lists are cached for the run.
+	total := 0
+	for _, g := range policies {
+		total += len(g.Covers)
+	}
+	arena := make([]windowedCover, 0, total)
+	out := make([][]windowedCover, len(policies))
+	for pol := range policies {
+		start, r := len(arena), 0
+		for _, j := range policies[pol].Covers {
+			for r < len(row) && int(row[r].Task) < j {
+				r++
+			}
+			if r == len(row) {
+				break
+			}
+			if int(row[r].Task) == j && row[r].De > 0 {
+				t := &tasks[j]
+				arena = append(arena, windowedCover{
+					taskEnergy{int32(j), int32(r), row[r].De}, int32(t.Release), int32(t.End),
+				})
+			}
+		}
+		if len(arena) > start {
+			out[pol] = arena[start:len(arena):len(arena)]
+		}
+	}
+	return out
+}
+
+// perceivedEnergies returns, with relaxed (full-slot) accounting, the
 // energy each known task has harvested from the committed orientation
 // timeline during slots [0, upTo) — the baseline every agent starts its
 // local view from. Unknown tasks stay at zero: no agent can plan around
-// energy it does not know was delivered. isKnown[j] marks the known tasks.
-func perceivedEnergies(p *core.Problem, orient [][]float64, isKnown []bool, upTo int) []float64 {
+// energy it does not know was delivered.
+//
+// The cover counts are extended over [done, upTo) only. The energies are
+// then replayed from them: charger by charger, cnt additions of the
+// entry's per-slot energy — for each task the same sequence of float
+// additions a slot-by-slot walk of the whole prefix performs, so the
+// baseline is bit-identical to it without re-testing coverage.
+func (rs *runState) perceivedEnergies(orient [][]float64, isKnown []bool, upTo int) []float64 {
+	p := rs.p
 	in := p.In
-	e := make([]float64, len(in.Tasks))
-	if upTo > p.K {
-		upTo = p.K
+	upTo = min(upTo, p.K)
+	if upTo > rs.done {
+		for i := range in.Chargers {
+			row, cnt, cur := p.ChargerRow(i), rs.cnt[i], rs.cur[i]
+			for k := rs.done; k < upTo; k++ {
+				if k < len(orient[i]) && !math.IsNaN(orient[i][k]) {
+					cur = orient[i][k]
+				}
+				if math.IsNaN(cur) {
+					continue
+				}
+				for l, ent := range row {
+					t := &in.Tasks[ent.Task]
+					if ent.De > 0 && t.ActiveAt(k) && in.Params.Covers(in.Chargers[i], cur, *t) {
+						cnt[l]++
+					}
+				}
+			}
+			rs.cur[i] = cur
+		}
+		rs.done = upTo
 	}
+	e := make([]float64, len(in.Tasks))
 	for i := range in.Chargers {
-		// Only this charger's chargeable known tasks can ever receive
-		// energy from it — read off the sparse charger row instead of
-		// scanning every task.
-		var reach []core.CoverEntry
-		for _, ent := range p.ChargerRow(i) {
-			if ent.De > 0 && isKnown[ent.Task] {
-				reach = append(reach, ent)
-			}
-		}
-		if len(reach) == 0 {
-			continue
-		}
-		cur := math.NaN()
-		for k := 0; k < upTo; k++ {
-			if k < len(orient[i]) && !math.IsNaN(orient[i][k]) {
-				cur = orient[i][k]
-			}
-			if math.IsNaN(cur) {
+		for l, ent := range p.ChargerRow(i) {
+			if !isKnown[ent.Task] {
 				continue
 			}
-			for _, ent := range reach {
-				j := int(ent.Task)
-				if in.Tasks[j].ActiveAt(k) && in.Params.Covers(in.Chargers[i], cur, in.Tasks[j]) {
-					e[j] += ent.De
-				}
+			for c := rs.cnt[i][l]; c > 0; c-- {
+				e[ent.Task] += ent.De
 			}
 		}
 	}
 	return e
 }
 
-// knownNeighbors builds the neighbor relation over known tasks only: two
-// chargers are neighbors iff they share a known chargeable task.
-func knownNeighbors(p *core.Problem, known []int) [][]int {
-	in := p.In
-	n := len(in.Chargers)
-	adj := make([]map[int]bool, n)
-	for i := range adj {
-		adj[i] = map[int]bool{}
-	}
-	// Invert the sparse rows once: coversByTask[j] lists the chargers that
-	// can deliver energy to task j (ascending, since chargers are walked in
-	// order). This replaces an all-chargers column scan per known task.
-	coversByTask := make([][]int, len(in.Tasks))
-	for i := 0; i < n; i++ {
-		for _, ent := range p.ChargerRow(i) {
-			if ent.De > 0 {
-				coversByTask[ent.Task] = append(coversByTask[ent.Task], i)
+// neighbors builds the neighbor relation over known tasks only: two
+// chargers are neighbors iff they share a known task both can deliver
+// energy to. Each row is ascending and duplicate-free.
+func (rs *runState) neighbors(isKnown []bool) [][]int {
+	p := rs.p
+	n := len(p.In.Chargers)
+	out := make([][]int, n)
+	seen := make([]int, n) // seen[b] == a+1: b already listed for a
+	for a := 0; a < n; a++ {
+		for _, ent := range p.ChargerRow(a) {
+			if ent.De <= 0 || !isKnown[ent.Task] {
+				continue
 			}
-		}
-	}
-	for _, j := range known {
-		covers := coversByTask[j]
-		for _, a := range covers {
-			for _, b := range covers {
-				if a != b {
-					adj[a][b] = true
+			for _, b := range rs.coversByTask[ent.Task] {
+				if b != a && seen[b] != a+1 {
+					seen[b] = a + 1
+					out[a] = append(out[a], b)
 				}
 			}
 		}
-	}
-	out := make([][]int, n)
-	for i, m := range adj {
-		for b := range m {
-			out[i] = append(out[i], b)
-		}
-		sort.Ints(out[i])
+		sort.Ints(out[a])
 	}
 	return out
 }
