@@ -264,12 +264,13 @@ func BenchmarkOptSolveSmallScale(b *testing.B) {
 // 10⁴-task fleet (50× the paper's largest workload; 250 clusters, 1250
 // chargers), monolithic vs shard-and-stitch. Every row produces exactly
 // the same utility (internal/difftest's sharded sweep proves the general
-// contract; TestFleetScaleShardedEquivalence pins this instance). On a
-// single-vCPU box the sharded workers cannot run concurrently, so the
-// W4 row measures dispatch overhead only; the interesting single-core
-// number is sharded/W1 vs mono/W1 — smaller per-component tables. The
-// first sharded run also compiles the 256 component sub-Problems; the
-// compile sub-bench isolates that one-time cost.
+// contract; TestFleetScaleShardedEquivalence pins this instance). The W4
+// row schedules up to four components at once, so it gains only where
+// there are cores to run them; sharded/W1 vs mono/W1 is the single-core
+// comparison. Every sharded iteration derives the 256 component
+// sub-Problems afresh from the compiled parent (nothing is cached between
+// runs), so the sharded rows include that derivation; the compile
+// sub-bench isolates the parent compile every row shares.
 func BenchmarkFleetScaleSharded(b *testing.B) {
 	in := workload.FleetScale(10_000).Generate(rand.New(rand.NewSource(1)))
 	b.Run("compile", func(b *testing.B) {

@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"haste/internal/model"
 	"haste/internal/obs"
@@ -11,13 +9,14 @@ import (
 
 // This file is the fleet-scale entry point of the shard-and-stitch
 // decomposition: scheduling straight from a raw instance, without ever
-// compiling the monolithic Problem. TabularGreedy's sharded path still
-// compiles the full Gamma and kernel first (the parent Problem is its
-// API), which at 10⁶ tasks costs minutes of dominant extraction the
-// components then redo anyway. ScheduleSharded skips that: it builds only
-// the sparse chargeable rows (grid-indexed, O((n+m)·density)), finds the
-// coverage components from them, and compiles each component's
-// sub-Problem transiently inside the worker loop — a component's Gamma
+// compiling the monolithic Problem. TabularGreedy's sharded path takes a
+// compiled parent Problem (its API) and derives each component from the
+// parent's rows and Γ, but at 10⁶ tasks the parent compile alone costs
+// minutes of dominant extraction and a whole-field Γ and kernel in
+// memory. ScheduleSharded skips it: it builds only the sparse chargeable
+// rows (grid-indexed, O((n+m)·density)), finds the coverage components
+// from them, and compiles each component's sub-Problem transiently inside
+// the shared component loop (scheduleComponents) — a component's Gamma
 // and kernel exist only while its greedy run is in flight, so peak memory
 // is bounded by Options.Workers × the largest component instead of the
 // whole field. That is what lets a 10⁶-task fleet compile and schedule
@@ -56,18 +55,16 @@ func DecomposeInstance(in *model.Instance) ([]Component, error) {
 // into the global index space, and sum the per-component utilities. See
 // the file comment for the exact equivalence contract with the
 // parent-Problem sharded path; Options.Shard is ignored (the whole point
-// is the sharded route) and Result.Shards reports the scheduled component
-// count.
+// is the sharded route), as are the warm-start options, and Result.Shards
+// reports the scheduled component count.
 func ScheduleSharded(in *model.Instance, opt Options) (Result, error) {
 	if err := in.Validate(); err != nil {
 		return Result{}, fmt.Errorf("core: %w", err)
 	}
 	opt = opt.normalize()
 	n, K := len(in.Chargers), in.Horizon()
-	C, N := opt.Colors, opt.Samples
-	sched := NewSchedule(n, K)
 	if K == 0 || n == 0 {
-		return Result{Schedule: sched}, nil
+		return Result{Schedule: NewSchedule(n, K)}, nil
 	}
 
 	root := opt.Trace.Start("solve")
@@ -77,90 +74,29 @@ func ScheduleSharded(in *model.Instance, opt Options) (Result, error) {
 	dsp.Int("components", int64(len(comps))).End()
 	rows = nil // decomposition done; let the arena be reclaimed
 
-	plan := drawColorPlan(opt.Rng, n, K, C, N)
-
-	runnable := make([]int, 0, len(comps))
-	for ci, comp := range comps {
-		if len(comp.Chargers) > 0 && len(comp.Tasks) > 0 {
-			runnable = append(runnable, ci)
-		}
-	}
-
-	results := make([]Result, len(comps))
-	errs := make([]error, len(comps))
-	workers := opt.Workers
-	if workers > len(runnable) {
-		workers = len(runnable)
-	}
-	var next atomic.Int64
-	run := func(w int) {
-		for {
-			idx := int(next.Add(1)) - 1
-			if idx >= len(runnable) {
-				return
-			}
-			ci := runnable[idx]
-			csp := root.Start("component").
-				Int("chargers", int64(len(comps[ci].Chargers))).
-				Int("tasks", int64(len(comps[ci].Tasks))).
-				Int("worker", int64(w))
+	plan := drawColorPlan(opt.Rng, n, K, opt.Colors, opt.Samples)
+	runnable := runnableComponents(in, comps)
+	results := make([]*Result, len(comps))
+	res, _ := scheduleComponents(nil, n, K, comps, runnable, results, opt, &plan, root,
+		func(ci int, sp obs.SpanRef) *Problem {
 			// The sub-Problem lives only for this call: compiled, run,
 			// reduced to its Result, then garbage. At no point does a
 			// global Gamma or kernel exist. The transient compile records
 			// its own "compile" subtree under the component span.
-			sub, err := newProblem(sliceInstance(in, comps[ci]), csp)
+			sub, err := newProblem(sliceInstance(in, comps[ci]), sp)
 			if err != nil {
-				errs[ci] = err
-				csp.End()
-				continue
+				// A component of a validated instance satisfies everything
+				// Validate checks (dense renumbered IDs, same params,
+				// untouched task fields), so this cannot happen.
+				panic(fmt.Sprintf("core: component sub-problem failed to compile: %v", err))
 			}
-			if sub.K == 0 {
-				csp.End()
-				continue
-			}
-			results[ci], _ = runComponent(nil, sub, comps[ci], K, opt, &plan, csp)
-			csp.End()
-		}
-	}
-	if workers <= 1 {
-		run(0)
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(workers - 1)
-		for w := 1; w < workers; w++ {
-			go func(w int) {
-				defer wg.Done()
-				run(w)
-			}(w)
-		}
-		run(0)
-		wg.Wait()
-	}
-
-	ssp := root.Start("stitch")
-	res := Result{Schedule: sched}
+			return sub
+		})
+	// Canonical ascending component order keeps the summed utility
+	// deterministic at any worker count.
 	for _, ci := range runnable {
-		if errs[ci] != nil {
-			// A component of a valid instance revalidates cleanly; this
-			// is unreachable but reported rather than panicking, since
-			// the caller handed us the instance unvalidated.
-			return Result{}, fmt.Errorf("core: component sub-problem failed to compile: %w", errs[ci])
-		}
-		if results[ci].Schedule.Policy == nil {
-			continue // component with zero horizon: nothing scheduled
-		}
-		comp := comps[ci]
-		sub := results[ci].Schedule
-		for li, gi := range comp.Chargers {
-			copy(sched.Policy[gi][:len(sub.Policy[li])], sub.Policy[li])
-		}
-		// Canonical ascending component order keeps the stitched utility
-		// and counters deterministic at any worker count.
 		res.RUtility += results[ci].RUtility
-		res.Kernel.add(results[ci].Kernel)
-		res.Shards++
 	}
-	ssp.End()
 	root.Int("shards", int64(res.Shards))
 	root.End()
 	res.Trace = opt.Trace

@@ -60,23 +60,15 @@ import (
 // may hold EnergyStates sized for the pre-mutation problem; AcquireState
 // discards stale ones instead of resurrecting them.
 
-// subCache carries the pre-mutation decomposition so the next
-// subProblems rebuild can adopt the component sub-Problems no mutation
-// touched (see Problem.prevSubs).
-type subCache struct {
-	comps []Component
-	subs  []*Problem
-	dirty map[int]struct{} // global charger IDs a mutation touched
-}
-
 // CloneCompiled returns an independently mutable copy of the Problem
 // without recompiling anything: compiled immutable innards (row slices,
 // cover lists, dominant policies, the charger grid) are shared, while
 // everything a delta operation writes — the instance's task table, the
 // SoA columns, the per-charger and per-policy top-level slices — is
-// copied. The clone starts with a fresh state pool and fresh shard
-// caches. This is what lets the session layer mutate a private copy of a
-// cached Problem while concurrent requests keep solving the original.
+// copied. The clone starts with a fresh state pool and a fresh
+// decomposition cache. This is what lets the session layer mutate a
+// private copy of a cached Problem while concurrent requests keep solving
+// the original.
 func (p *Problem) CloneCompiled() *Problem {
 	in := &model.Instance{
 		Chargers: p.In.Chargers, // static; never mutated by delta ops
@@ -90,7 +82,6 @@ func (p *Problem) CloneCompiled() *Problem {
 		K:           p.K,
 		rows:        append([][]CoverEntry(nil), p.rows...),
 		compsOnce:   new(sync.Once),
-		subsOnce:    new(sync.Once),
 		chargerGrid: p.chargerGrid,
 	}
 	kn, src := &c.kern, &p.kern
@@ -146,7 +137,7 @@ func (p *Problem) AddTask(t model.Task) ([]int, error) {
 	}
 
 	p.patchChargers(affected)
-	p.invalidate(affected)
+	p.invalidate()
 	return affected, nil
 }
 
@@ -214,7 +205,7 @@ func (p *Problem) RemoveTask(id int) ([]int, error) {
 	}
 
 	p.patchChargers(affected)
-	p.invalidate(affected)
+	p.invalidate()
 	return affected, nil
 }
 
@@ -306,59 +297,9 @@ func (p *Problem) patchChargers(affected []int) {
 	kn.buildTaskPols(len(in.Tasks))
 }
 
-// invalidate resets the decomposition caches after a mutation, stashing
-// the outgoing component sub-Problems (plus the accumulated dirty charger
-// set) so the next subProblems rebuild can adopt the untouched ones.
-func (p *Problem) invalidate(dirty []int) {
-	if subs := p.subs.Load(); subs != nil {
-		sc := &subCache{comps: p.comps, subs: *subs, dirty: make(map[int]struct{}, len(dirty))}
-		p.prevSubs = sc
-	}
-	if p.prevSubs != nil {
-		for _, i := range dirty {
-			p.prevSubs.dirty[i] = struct{}{}
-		}
-	}
-	p.comps, p.schedulable = nil, 0
-	p.compsOnce, p.subsOnce = new(sync.Once), new(sync.Once)
-	p.subs.Store(nil)
-}
-
-// adoptableSub returns the stashed pre-mutation sub-Problem for a
-// component of the current decomposition, when one exists with the exact
-// same charger and task membership and no dirty member — in which case
-// its sub-instance is bit-identical to what sliceInstance would produce
-// now (a mutation that changed any of its tasks would have dirtied one of
-// its chargers), so the compiled sub-Problem can be reused as-is.
-func (sc *subCache) adoptableSub(comp Component) *Problem {
-	if sc == nil || len(comp.Chargers) == 0 {
-		return nil
-	}
-	for _, i := range comp.Chargers {
-		if _, bad := sc.dirty[i]; bad {
-			return nil
-		}
-	}
-	for oldCi, old := range sc.comps {
-		if len(old.Chargers) == 0 || old.Chargers[0] != comp.Chargers[0] {
-			continue
-		}
-		if intsEqual(old.Chargers, comp.Chargers) && intsEqual(old.Tasks, comp.Tasks) {
-			return sc.subs[oldCi]
-		}
-		return nil
-	}
-	return nil
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+// invalidate drops the cached decomposition after a mutation; the next
+// Components call recomputes it from the patched rows.
+func (p *Problem) invalidate() {
+	p.comps, p.local, p.schedulable = nil, nil, 0
+	p.compsOnce = new(sync.Once)
 }

@@ -298,23 +298,12 @@ func (p *Problem) ReleaseState(es *EnergyState) {
 }
 
 // StatesInUse returns the pool's get/put balance: AcquireState checkouts
-// not yet returned by ReleaseState, summed over this problem and every
-// compiled component sub-Problem (sharded runs acquire states on the
-// subs). Every code path that acquires states — including a
-// TabularGreedyCtx run abandoned mid-stage, sharded or not — must drive
-// the balance back to what it found, which the cancellation and service
-// tests assert.
-func (p *Problem) StatesInUse() int64 {
-	out := p.statesOut.Load()
-	if subs := p.subs.Load(); subs != nil {
-		for _, sub := range *subs {
-			if sub != nil {
-				out += sub.statesOut.Load()
-			}
-		}
-	}
-	return out
-}
+// not yet returned by ReleaseState. Every code path that acquires states
+// — including a TabularGreedyCtx run abandoned mid-stage, sharded or not
+// — must drive the balance back to what it found, which the cancellation
+// and service tests assert. (A sharded run's component sub-Problems are
+// built per run and dropped after it, so their pools die with them.)
+func (p *Problem) StatesInUse() int64 { return p.statesOut.Load() }
 
 // EnableKernelStats turns on work counting for this state and returns the
 // collector (idempotent). Reset and AcquireState disable collection

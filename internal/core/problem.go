@@ -54,28 +54,21 @@ type Problem struct {
 	statePool sync.Pool
 	statesOut atomic.Int64
 
-	// Shard-and-stitch caches (shard.go): the coverage graph's connected
-	// components and their compiled sub-Problems, each computed at most
-	// once per Problem. subs is an atomic pointer so StatesInUse can
-	// aggregate sub-problem balances while another run is compiling them.
-	// The Once guards are pointers so the delta operations (incremental.go)
-	// can invalidate a cache by re-pointing its guard — a value sync.Once
-	// cannot be reset or copied.
+	// Shard-and-stitch cache (shard.go): the coverage graph's connected
+	// components, computed at most once per Problem, and local[j], task
+	// j's position inside its component — what restrict renumbers a
+	// component's rows and policies with. The Once guard is a pointer so
+	// the delta operations (incremental.go) can invalidate the cache by
+	// re-pointing it — a value sync.Once cannot be reset or copied.
 	compsOnce   *sync.Once
 	comps       []Component
+	local       []int32
 	schedulable int
 
-	subsOnce *sync.Once
-	subs     atomic.Pointer[[]*Problem]
-
-	// Incremental-scheduling state (incremental.go). chargerGrid is the
-	// lazily built spatial index over the (static) charger positions that
-	// delta operations use to find the chargers a task mutation touches.
-	// prevSubs carries the component sub-Problems of the pre-mutation
-	// decomposition so the next subProblems rebuild can adopt the ones no
-	// mutation touched instead of recompiling them.
+	// chargerGrid is the lazily built spatial index over the (static)
+	// charger positions that the delta operations (incremental.go) use to
+	// find the chargers a task mutation touches.
 	chargerGrid *geom.GridIndex
-	prevSubs    *subCache
 }
 
 // NewProblem validates the instance, builds the sparse slot-energy rows
@@ -110,7 +103,6 @@ func newProblem(in *model.Instance, parent obs.SpanRef) (*Problem, error) {
 		K:         in.Horizon(),
 		rows:      chargeableRows(in, sp),
 		compsOnce: new(sync.Once),
-		subsOnce:  new(sync.Once),
 	}
 	dsp := sp.Start("dominant_extract")
 	p.Gamma = make([][]dominant.Policy, len(in.Chargers))

@@ -1,11 +1,11 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 
+	"haste/internal/dominant"
 	"haste/internal/model"
 	"haste/internal/obs"
 )
@@ -15,11 +15,12 @@ import (
 // coverage graph of a large field decomposes into connected components
 // that are exactly independent subproblems under the partition matroid —
 // no policy of a charger in one component can move a single joule into
-// another component. The decomposer finds the components by walking the
-// dominant policies' cover lists, compiles each schedulable component as
-// an independent sub-Problem, runs the monolithic greedy on every
-// component (concurrently, bounded by Options.Workers), and stitches the
-// per-component schedules back together with global indices restored.
+// another component. The decomposer finds the components by a union-find
+// over the sparse chargeable rows, derives each schedulable component's
+// sub-Problem by restricting the parent's compiled rows and Γ to it, runs
+// the monolithic greedy on every component (concurrently, bounded by
+// Options.Workers), and stitches the per-component schedules back
+// together with global indices restored.
 //
 // Equivalence contract (enforced by internal/difftest's sharded sweep):
 //
@@ -72,9 +73,8 @@ const (
 )
 
 // DefaultShardThreshold is the component count at which ShardAuto turns
-// sharding on. Below it the decomposition buys little (the components'
-// compiled kernels largely duplicate the monolithic one) and the
-// monolithic path avoids the sub-Problem compilation entirely.
+// sharding on. Below it the decomposition buys little: a handful of
+// components leaves the workers almost nothing to run side by side.
 const DefaultShardThreshold = 4
 
 // Component is one connected component of the charger–task coverage
@@ -91,8 +91,9 @@ type Component struct {
 
 // Components returns the connected components of the problem's coverage
 // graph. Tasks no charger can reach and chargers with no chargeable task
-// form singleton components. The result is computed once and cached; the
-// returned slice must not be mutated.
+// form singleton components. The result is computed once and cached (with
+// each task's position inside its component, for restrict); the returned
+// slice must not be mutated.
 func (p *Problem) Components() []Component {
 	p.compsOnce.Do(p.computeComponents)
 	return p.comps
@@ -108,6 +109,12 @@ func (p *Problem) SchedulableComponents() int {
 
 func (p *Problem) computeComponents() {
 	p.comps, p.schedulable = coverageComponents(len(p.In.Chargers), len(p.In.Tasks), p.rows)
+	p.local = make([]int32, len(p.In.Tasks))
+	for _, comp := range p.comps {
+		for lj, gj := range comp.Tasks {
+			p.local[gj] = int32(lj)
+		}
+	}
 }
 
 // AssignedHorizons returns, per charger, one past the last slot in which
@@ -122,17 +129,36 @@ func (p *Problem) computeComponents() {
 func (p *Problem) AssignedHorizons() []int {
 	hor := make([]int, len(p.In.Chargers))
 	for _, comp := range p.Components() {
-		end := 0
-		for _, gj := range comp.Tasks {
-			if e := p.In.Tasks[gj].End; e > end {
-				end = e
-			}
-		}
+		end := componentHorizon(p.In, comp)
 		for _, gi := range comp.Chargers {
 			hor[gi] = end
 		}
 	}
 	return hor
+}
+
+// componentHorizon is the horizon of a component's sub-instance: the
+// maximum End over its tasks (0 for a component without tasks).
+func componentHorizon(in *model.Instance, comp Component) int {
+	end := 0
+	for _, gj := range comp.Tasks {
+		if e := in.Tasks[gj].End; e > end {
+			end = e
+		}
+	}
+	return end
+}
+
+// runnableComponents lists, ascending, the components a sharded run
+// schedules: those with a charger and a non-zero horizon.
+func runnableComponents(in *model.Instance, comps []Component) []int {
+	runnable := make([]int, 0, len(comps))
+	for ci, comp := range comps {
+		if len(comp.Chargers) > 0 && componentHorizon(in, comp) > 0 {
+			runnable = append(runnable, ci)
+		}
+	}
+	return runnable
 }
 
 // coverageComponents finds the connected components of the coverage graph
@@ -195,48 +221,54 @@ func coverageComponents(n, m int, rows [][]CoverEntry) ([]Component, int) {
 	return comps, sched
 }
 
-// subProblems compiles (once, cached) an independent sub-Problem for
-// every schedulable component; unschedulable components get nil. Each
-// sub-instance keeps the component's chargers and tasks in their
-// original relative order with densely renumbered IDs, so dominant
-// extraction reproduces exactly the global Gamma rows of the component's
-// chargers (policy indices included) and the compiled kernel reproduces
-// their cover entries bit for bit. Sub-Problems inherit the parent's
-// kernel choice (SetFlatKernel) as of their compilation.
-//
-// After a delta operation (incremental.go) the rebuild first consults the
-// stashed pre-mutation decomposition: a component with identical
-// membership and no dirty charger adopts its old compiled sub-Problem —
-// whose sub-instance is bit-identical to what sliceInstance would produce
-// now — instead of recompiling it.
-func (p *Problem) subProblems() []*Problem {
-	p.subsOnce.Do(func() {
-		comps := p.Components()
-		prev := p.prevSubs
-		p.prevSubs = nil
-		subs := make([]*Problem, len(comps))
-		for ci, comp := range comps {
-			if len(comp.Chargers) == 0 || len(comp.Tasks) == 0 {
-				continue
-			}
-			if sub := prev.adoptableSub(comp); sub != nil {
-				sub.SetFlatKernel(p.kern.linear)
-				subs[ci] = sub
-				continue
-			}
-			sub, err := NewProblem(sliceInstance(p.In, comp))
-			if err != nil {
-				// A component of a valid instance satisfies everything
-				// Validate checks (dense renumbered IDs, same params,
-				// untouched task fields), so this cannot happen.
-				panic(fmt.Sprintf("core: component sub-problem failed to compile: %v", err))
-			}
-			sub.SetFlatKernel(p.kern.linear)
-			subs[ci] = sub
+// restrict derives a schedulable component's sub-Problem from the
+// parent's compiled data instead of recompiling it: the component's
+// sub-instance (sliceInstance), the parent's rows and Γ policies of its
+// chargers with every task ID renumbered to its position in the component
+// (local[j], see Components), and a kernel compiled over them that
+// inherits the parent's kernel choice (SetFlatKernel). Renumbering keeps
+// the members' ascending order, so rows and covers stay ascending; De
+// values and orientations are copied, never recomputed, and no grid,
+// slot-energy trig or dominant extraction runs. The policy indices are
+// therefore the parent's Γ indices by construction, which is what the
+// stitched cells index, and the result equals
+// NewProblem(sliceInstance(p.In, comp)) structure for structure
+// (TestShardedRestrictMatchesRecompile).
+func (p *Problem) restrict(comp Component, local []int32) *Problem {
+	in := sliceInstance(p.In, comp)
+	sub := &Problem{
+		In:        in,
+		Gamma:     make([][]dominant.Policy, len(comp.Chargers)),
+		K:         in.Horizon(),
+		rows:      make([][]CoverEntry, len(comp.Chargers)),
+		compsOnce: new(sync.Once),
+	}
+	total := 0
+	for _, gi := range comp.Chargers {
+		total += len(p.rows[gi])
+	}
+	arena := make([]CoverEntry, 0, total)
+	for li, gi := range comp.Chargers {
+		start := len(arena)
+		for _, e := range p.rows[gi] {
+			arena = append(arena, CoverEntry{Task: local[e.Task], De: e.De})
 		}
-		p.subs.Store(&subs)
-	})
-	return *p.subs.Load()
+		sub.rows[li] = arena[start:len(arena):len(arena)]
+		g := make([]dominant.Policy, len(p.Gamma[gi]))
+		for pol, src := range p.Gamma[gi] {
+			g[pol] = src
+			if src.Covers != nil {
+				g[pol].Covers = make([]int, len(src.Covers))
+				for x, j := range src.Covers {
+					g[pol].Covers[x] = int(local[j])
+				}
+			}
+		}
+		sub.Gamma[li] = g
+	}
+	sub.kern = compileKernel(sub)
+	sub.SetFlatKernel(p.kern.linear)
+	return sub
 }
 
 // sliceInstance extracts a component's standalone sub-instance: the
@@ -268,60 +300,102 @@ type colorPlan struct {
 	final   []int32 // [i*K+k]: color sampled for partition (i,k)
 }
 
-// shardedGreedy is the shard-and-stitch execution of Algorithm 2: draw
-// the global color plan, run every schedulable component's sub-Problem
-// under the plan's restriction to its chargers (at most Options.Workers
-// components in flight; each sub-run is sequential), stitch the
-// component schedules into the global index space, and evaluate the
-// stitched schedule on the original problem. parent receives the phase
-// spans (decompose, one component span per sub-run with size/worker/
-// warm-adoption attributes, stitch, evaluate); since component workers
-// record concurrently, sibling span order is not deterministic — the
-// schedule itself remains bit-identical at any worker count.
+// shardedGreedy is the shard-and-stitch execution of Algorithm 2 on a
+// compiled Problem: draw the global color plan, adopt the warm-start
+// incumbent's result for every component a re-run could not change, run
+// the rest through scheduleComponents on sub-Problems restricted from p,
+// and evaluate the stitched schedule on p. parent receives the phase
+// spans (decompose, one component span per component with size/worker/
+// warm-adoption attributes and a restrict child, stitch, evaluate); since
+// component workers record concurrently, sibling span order is not
+// deterministic — the schedule itself remains bit-identical at any
+// worker count.
 func shardedGreedy(done <-chan struct{}, p *Problem, opt Options, parent obs.SpanRef) (Result, bool) {
 	n, K, C, N := len(p.In.Chargers), p.K, opt.Colors, opt.Samples
-	sched := NewSchedule(n, K)
 	if K == 0 || n == 0 {
-		return Result{Schedule: sched}, true
+		return Result{Schedule: NewSchedule(n, K)}, true
 	}
 
 	dsp := parent.Start("decompose")
 	comps := p.Components()
-	subs := p.subProblems()
 	dsp.Int("components", int64(len(comps))).End()
 
 	plan := drawColorPlan(opt.Rng, n, K, C, N)
-
-	runnable := make([]int, 0, len(comps))
-	for ci, sub := range subs {
-		if sub != nil && sub.K > 0 {
-			runnable = append(runnable, ci)
-		}
-	}
+	runnable := runnableComponents(p.In, comps)
 
 	// Warm start: adopt the incumbent's result for every component a
 	// re-run provably could not change (warm.go documents the conditions);
-	// only the rest is dispatched to the workers.
+	// only the rest is built and run.
 	results := make([]*Result, len(comps))
-	oks := make([]bool, len(comps))
-	reusedCount := 0
-	toRun := runnable
+	reused := 0
 	if inc := opt.Incumbent; inc.matches(opt, n) {
-		toRun = make([]int, 0, len(runnable))
 		for _, ci := range runnable {
-			if r := inc.reusable(comps[ci], subs[ci].K, &plan, K, N); r != nil {
-				results[ci], oks[ci] = r, true
-				reusedCount++
-				// Zero-duration marker span: the component's stored result
-				// was adopted instead of re-run.
-				parent.Start("component").
-					Int("chargers", int64(len(comps[ci].Chargers))).
-					Int("tasks", int64(len(comps[ci].Tasks))).
-					Bool("warm_adopted", true).End()
-				continue
+			if r := inc.reusable(comps[ci], componentHorizon(p.In, comps[ci]), &plan, K, N); r != nil {
+				results[ci] = r
+				reused++
 			}
-			toRun = append(toRun, ci)
 		}
+	}
+
+	res, ok := scheduleComponents(done, n, K, comps, runnable, results, opt, &plan, parent,
+		func(ci int, sp obs.SpanRef) *Problem {
+			rsp := sp.Start("restrict")
+			defer rsp.End()
+			return p.restrict(comps[ci], p.local)
+		})
+	if !ok {
+		return Result{}, false // cancelled; every sub-run has released its states
+	}
+	res.WarmReused = reused
+	// Re-evaluating the stitched schedule on the original problem — not
+	// summing per-component utilities — keeps the total bit-identical to
+	// the monolithic run: Evaluate accumulates contributions in the same
+	// (charger, slot) order, and the cells only the monolithic schedule
+	// assigns contribute exactly +0.0.
+	esp := parent.Start("evaluate")
+	res.RUtility = Evaluate(p, res.Schedule)
+	esp.End()
+	if opt.CollectWarm {
+		subKs := make([]int, len(comps))
+		for _, ci := range runnable {
+			subKs[ci] = componentHorizon(p.In, comps[ci])
+		}
+		res.Warm = &WarmStart{
+			colors: C, samples: N, preferStay: opt.PreferStay,
+			kernelStats: opt.KernelStats, n: n, k: K,
+			plan: plan, comps: comps, results: results, subKs: subKs,
+		}
+	}
+	return res, true
+}
+
+// scheduleComponents is the component loop both sharded entry points
+// share. results holds one entry per component, pre-filled where a warm
+// start adopted the component's result; every other runnable component
+// is scheduled under the plan's restriction to its chargers, at most
+// opt.Workers at a time (each run is sequential). Component ci's Problem
+// comes from build, called inside the worker under ci's component span,
+// so a sub-Problem is built only for a component that actually runs and
+// lives only while its greedy does. The runnable components' cells and
+// kernel counters are then stitched into the global n×K index space in
+// canonical component order, so instrumented runs report deterministic
+// counters at any worker count (adopted results carry the counters of
+// their original, equally deterministic run). ok is false when done
+// closed mid-run.
+func scheduleComponents(done <-chan struct{}, n, K int, comps []Component, runnable []int, results []*Result,
+	opt Options, plan *colorPlan, parent obs.SpanRef, build func(ci int, sp obs.SpanRef) *Problem) (Result, bool) {
+	toRun := make([]int, 0, len(runnable))
+	for _, ci := range runnable {
+		if results[ci] == nil {
+			toRun = append(toRun, ci)
+			continue
+		}
+		// Zero-duration marker span: the component's stored result was
+		// adopted instead of re-run.
+		parent.Start("component").
+			Int("chargers", int64(len(comps[ci].Chargers))).
+			Int("tasks", int64(len(comps[ci].Tasks))).
+			Bool("warm_adopted", true).End()
 	}
 
 	workers := opt.Workers
@@ -341,12 +415,11 @@ func shardedGreedy(done <-chan struct{}, p *Problem, opt Options, parent obs.Spa
 				Int("tasks", int64(len(comps[ci].Tasks))).
 				Int("worker", int64(w)).
 				Bool("warm_adopted", false)
-			r, ok := runComponent(done, subs[ci], comps[ci], p.K, opt, &plan, csp)
+			r, ok := runComponent(done, build(ci, csp), comps[ci], K, opt, plan, csp)
 			csp.End()
 			if ok {
 				results[ci] = &r
 			}
-			oks[ci] = ok
 		}
 	}
 	if workers <= 1 {
@@ -365,44 +438,19 @@ func shardedGreedy(done <-chan struct{}, p *Problem, opt Options, parent obs.Spa
 	}
 
 	for _, ci := range runnable {
-		if !oks[ci] {
-			return Result{}, false // cancelled; every sub-run has released its states
+		if results[ci] == nil {
+			return Result{}, false // cancelled
 		}
 	}
-
 	ssp := parent.Start("stitch")
-	res := Result{Schedule: sched, Shards: len(runnable), WarmReused: reusedCount}
+	res := Result{Schedule: NewSchedule(n, K), Shards: len(runnable)}
 	for _, ci := range runnable {
-		comp, sub := comps[ci], subs[ci]
-		for li, gi := range comp.Chargers {
-			copy(sched.Policy[gi][:sub.K], results[ci].Schedule.Policy[li])
+		for li, gi := range comps[ci].Chargers {
+			copy(res.Schedule.Policy[gi], results[ci].Schedule.Policy[li])
 		}
-		// Aggregated in canonical component order, so instrumented runs
-		// report deterministic counters at any worker count. Adopted
-		// results carry the counters of their original (also sequential,
-		// also deterministic) run — the counts a re-run would reproduce.
 		res.Kernel.add(results[ci].Kernel)
 	}
 	ssp.End()
-	// Re-evaluating the stitched schedule on the original problem — not
-	// summing per-component utilities — keeps the total bit-identical to
-	// the monolithic run: Evaluate accumulates contributions in the same
-	// (charger, slot) order, and the cells only the monolithic schedule
-	// assigns contribute exactly +0.0.
-	esp := parent.Start("evaluate")
-	res.RUtility = Evaluate(p, sched)
-	esp.End()
-	if opt.CollectWarm {
-		subKs := make([]int, len(comps))
-		for _, ci := range runnable {
-			subKs[ci] = subs[ci].K
-		}
-		res.Warm = &WarmStart{
-			colors: C, samples: N, preferStay: opt.PreferStay,
-			kernelStats: opt.KernelStats, n: n, k: K,
-			plan: plan, comps: comps, results: results, subKs: subKs,
-		}
-	}
 	return res, true
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -445,8 +446,9 @@ func TestShardedCtxUncancelled(t *testing.T) {
 }
 
 // TestShardedCtxMidRunCancel: cancelling a sharded concurrent run returns
-// promptly, leaks zero pooled states across the parent problem AND every
-// component sub-Problem, and leaves the problem reusable bit-identically.
+// promptly, leaks zero pooled states on the parent problem (component
+// sub-Problems are built per run and dropped with their pools), and
+// leaves the problem reusable bit-identically.
 func TestShardedCtxMidRunCancel(t *testing.T) {
 	p := shardProblem(t, 503, 6, 12, 48)
 	opts := func() Options {
@@ -476,18 +478,12 @@ func TestShardedCtxMidRunCancel(t *testing.T) {
 		t.Fatal("cancelled sharded run did not return within 10s")
 	}
 
-	// Zero leaked pooled states — the aggregate covers every sub-Problem,
-	// and each sub's own balance must be zero too.
+	// Zero leaked pooled states on the parent.
 	if got := p.StatesInUse(); got != 0 {
 		t.Fatalf("pooled states leaked after sharded cancel: %d", got)
 	}
-	for ci, sub := range *p.subs.Load() {
-		if sub != nil && sub.statesOut.Load() != 0 {
-			t.Fatalf("component %d sub-problem leaked %d states", ci, sub.statesOut.Load())
-		}
-	}
 
-	// Problem (and its cached sub-Problems) remain reusable.
+	// The Problem remains reusable.
 	again, err := TabularGreedyCtx(context.Background(), p, opts())
 	if err != nil {
 		t.Fatal(err)
@@ -505,7 +501,7 @@ func TestShardedCtxMidRunCancel(t *testing.T) {
 }
 
 // TestShardedStatesBalance: sharded runs at several worker counts drive
-// the aggregated pool balance back to zero, and repeated runs reuse the
+// the parent's pool balance back to zero, and repeated runs reuse the
 // cached decomposition (pointer-stable components).
 func TestShardedStatesBalance(t *testing.T) {
 	p := shardProblem(t, 504, 4, 8, 24)
@@ -522,5 +518,107 @@ func TestShardedStatesBalance(t *testing.T) {
 	}
 	if &comps[0] != &p.Components()[0] {
 		t.Fatal("component cache was rebuilt between runs")
+	}
+}
+
+// requireRestrictMatches asserts, for every schedulable component of p,
+// that the sub-Problem restricted from p's compiled data equals a fresh
+// compile of the component's sub-instance — instance, rows, Γ, compiled
+// kernel (kernel choice included) and K — and returns how many
+// components it checked.
+func requireRestrictMatches(t *testing.T, p *Problem) int {
+	t.Helper()
+	checked := 0
+	for ci, comp := range p.Components() {
+		if len(comp.Chargers) == 0 || len(comp.Tasks) == 0 {
+			continue
+		}
+		got := p.restrict(comp, p.local)
+		want, err := NewProblem(sliceInstance(p.In, comp))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.SetFlatKernel(p.FlatKernel())
+		switch {
+		case got.K != want.K:
+			t.Fatalf("component %d: K = %d, want %d", ci, got.K, want.K)
+		case !reflect.DeepEqual(got.In, want.In):
+			t.Fatalf("component %d: sub-instances differ", ci)
+		case !reflect.DeepEqual(got.rows, want.rows):
+			t.Fatalf("component %d: rows differ", ci)
+		case !reflect.DeepEqual(got.Gamma, want.Gamma):
+			t.Fatalf("component %d: Γ differs", ci)
+		case !reflect.DeepEqual(got.kern, want.kern):
+			t.Fatalf("component %d: compiled kernels differ", ci)
+		}
+		checked++
+	}
+	return checked
+}
+
+// TestShardedRestrictMatchesRecompile: deriving a component's sub-Problem
+// from the parent's rows and Γ reproduces the from-scratch compile of its
+// sub-instance exactly, on fleet-scale, anisotropic (De == 0 row entries)
+// and paper-default instances, after a delta-op walk on a clone, and on a
+// parent forced onto the generic kernel.
+func TestShardedRestrictMatchesRecompile(t *testing.T) {
+	gen := func(cfg workload.Config, seed int64) *Problem {
+		p, err := NewProblem(cfg.Generate(rand.New(rand.NewSource(seed))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	// A 300° receive sector puts chargers behind devices, where the
+	// receive gain clamps to zero: rows carry chargeable De == 0 entries.
+	aniso := workload.FleetScale(2000)
+	aniso.Params.AnisotropicGain = true
+	aniso.Params.ReceiveAngle = geom.Deg(300)
+	anisoP := gen(aniso, 3)
+
+	walked := shardProblem(t, 505, 6, 12, 48).CloneCompiled()
+	rng := rand.New(rand.NewSource(6))
+	for step := 0; step < 20; step++ {
+		var err error
+		if step%3 == 2 {
+			_, err = walked.RemoveTask(rng.Intn(len(walked.In.Tasks)))
+		} else {
+			_, err = walked.AddTask(randomTask(walked.In, rng))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	generic := shardProblem(t, 506, 5, 10, 40)
+	generic.SetFlatKernel(false)
+
+	cases := []struct {
+		name string
+		p    *Problem
+	}{
+		{"fleet-1e4/seed1", gen(workload.FleetScale(10_000), 1)},
+		{"fleet-1e4/seed2", gen(workload.FleetScale(10_000), 2)},
+		{"fleet-2000/anisotropic", anisoP},
+		{"paper-default", gen(workload.Default(), 4)},
+		{"clone-after-walk", walked},
+		{"generic-kernel", generic},
+	}
+	for _, tc := range cases {
+		if n := requireRestrictMatches(t, tc.p); n == 0 {
+			t.Fatalf("%s: no schedulable component checked", tc.name)
+		} else {
+			t.Logf("%s: %d components derived ≡ recompiled", tc.name, n)
+		}
+	}
+	// The anisotropic fleet must actually exercise zero-energy row entries.
+	zero := false
+	for i := range anisoP.In.Chargers {
+		for _, e := range anisoP.ChargerRow(i) {
+			zero = zero || e.De == 0
+		}
+	}
+	if !zero {
+		t.Fatal("anisotropic fleet has no De == 0 row entry; the case is vacuous")
 	}
 }

@@ -63,8 +63,10 @@ func TestTraceMonolithic(t *testing.T) {
 }
 
 // A traced sharded run records decompose/stitch/evaluate plus one
-// component span per sub-run; warm-started re-runs mark adopted
-// components with warm_adopted=1, matching Result.WarmReused.
+// component span per sub-run, each with the restrict span of its
+// sub-Problem's derivation; warm-started re-runs mark adopted components
+// with warm_adopted=1, matching Result.WarmReused, and derive only the
+// components they actually run.
 func TestTraceShardedAndWarm(t *testing.T) {
 	p := shardProblem(t, 52, 6, 12, 48)
 
@@ -101,8 +103,8 @@ func TestTraceShardedAndWarm(t *testing.T) {
 		if c.Attrs["warm_adopted"] != 0 {
 			t.Errorf("cold run adopted a component: %v", c.Attrs)
 		}
-		if len(childrenNamed(c, "greedy")) != 1 {
-			t.Errorf("component span lacks nested greedy: %+v", c.Children)
+		if len(childrenNamed(c, "greedy")) != 1 || len(childrenNamed(c, "restrict")) != 1 {
+			t.Errorf("component span lacks nested restrict and greedy: %+v", c.Children)
 		}
 	}
 	if solve.Attrs["shards"] != int64(res.Shards) {
@@ -134,6 +136,49 @@ func TestTraceShardedAndWarm(t *testing.T) {
 	if wsolve.Attrs["warm_reused"] != int64(wres.WarmReused) {
 		t.Errorf("root warm_reused attr %d != %d", wsolve.Attrs["warm_reused"], wres.WarmReused)
 	}
+	if got := derived(wsolve); got != 0 {
+		t.Fatalf("fully adopted re-run derived %d sub-Problems", got)
+	}
+
+	// One AddTask on a clone dirties the components of the chargers that
+	// can reach the task: only those re-run, so the derivation spans
+	// number exactly Shards − WarmReused.
+	c := p.CloneCompiled()
+	rng := rand.New(rand.NewSource(56))
+	var dirty []int
+	for len(dirty) == 0 {
+		task := randomTask(c.In, rng)
+		if task.End > c.K {
+			continue // a longer horizon reshapes the plan and adopts nothing
+		}
+		var err error
+		if dirty, err = c.AddTask(task); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res.Warm.MarkDirty(dirty)
+	mutated := opt
+	mutated.Incumbent = res.Warm
+	mutated.Trace = obs.New()
+	mres := TabularGreedy(c, mutated)
+	if mres.WarmReused == 0 || mres.WarmReused == mres.Shards {
+		t.Fatalf("mutated re-run reused %d of %d components; want a partial adoption", mres.WarmReused, mres.Shards)
+	}
+	if got, want := derived(mres.Trace.Tree()[0]), mres.Shards-mres.WarmReused; got != want {
+		t.Fatalf("mutated re-run derived %d sub-Problems, want Shards − WarmReused = %d", got, want)
+	}
+}
+
+// derived counts the component spans under a solve that carry a restrict
+// child — the components whose sub-Problem the run built.
+func derived(solve *obs.Node) int {
+	n := 0
+	for _, c := range childrenNamed(solve, "component") {
+		if len(childrenNamed(c, "restrict")) == 1 {
+			n++
+		}
+	}
+	return n
 }
 
 // NewProblemTraced records the compile pipeline — grid build, slot-energy

@@ -1,6 +1,9 @@
 package core
 
-import "bytes"
+import (
+	"bytes"
+	"slices"
+)
 
 // WarmStart carries what a sharded TabularGreedy run (Options.CollectWarm)
 // learned, so a later run on a mutated clone of the problem can skip the
@@ -82,7 +85,7 @@ func (w *WarmStart) reusable(comp Component, subK int, plan *colorPlan, K, N int
 		if len(old.Chargers) == 0 || old.Chargers[0] != comp.Chargers[0] {
 			continue
 		}
-		if !intsEqual(old.Chargers, comp.Chargers) || !intsEqual(old.Tasks, comp.Tasks) {
+		if !slices.Equal(old.Chargers, comp.Chargers) || !slices.Equal(old.Tasks, comp.Tasks) {
 			return nil
 		}
 		r := w.results[oldCi]

@@ -71,9 +71,9 @@ func RunSharded(c Case, variants []Variant) error {
 	}
 
 	for _, v := range variants {
-		// Fresh Problem per variant: component sub-Problems inherit the
-		// parent's kernel choice when they are first compiled, so the
-		// Generic axis must flip the kernel before any sharded run.
+		// Fresh Problem per variant, with the kernel choice flipped
+		// before the sharded run: every component sub-Problem inherits
+		// the parent's kernel choice when the run derives it.
 		pv, err := c.Problem()
 		if err != nil {
 			return err

@@ -97,10 +97,10 @@ func TestScheduleSharding(t *testing.T) {
 }
 
 // TestShardedRequestTimeout: a sharded run cancelled mid-flight by the
-// request budget must return every pooled state of every component
-// sub-Problem (StatesInUse aggregates across them), keep the compiled
-// problem cached, and serve a later sharded request from that same cache
-// entry bit-identically.
+// request budget must return every pooled state it took from the cached
+// problem (component sub-Problems are derived per run and dropped with
+// their pools), keep the compiled problem cached, and serve a later
+// sharded request from that same cache entry bit-identically.
 func TestShardedRequestTimeout(t *testing.T) {
 	s := New(Config{RequestTimeout: time.Millisecond})
 	cfg := clusteredConfig()
@@ -128,9 +128,8 @@ func TestShardedRequestTimeout(t *testing.T) {
 		}
 	}
 
-	// The cache entry (and its compiled component sub-Problems) survive the
-	// cancellation: rerunning with a sane budget is a hit, sharded, and
-	// deterministic.
+	// The cache entry survives the cancellation: rerunning with a sane
+	// budget is a hit, sharded, and deterministic.
 	s.cfg.RequestTimeout = time.Minute
 	var first scheduleResponse
 	for i := 0; i < 2; i++ {
